@@ -118,6 +118,46 @@ class Algebra:
         return f"b{i}"
 
     @cached_property
+    def radical_generators(self) -> tuple[int, ...]:
+        """Radical basis indices whose classes form a basis of rad/rad^2.
+
+        rad^2 is the span of all products of radical basis elements, and each
+        product lies in one Peirce block, so every block is handled on its
+        own.  Indices are picked greedily in basis order: one joins when its
+        basis vector is outside the span of rad^2 and the indices picked
+        before it.  Path degree is no guide: a corner eAe keeps the path
+        lengths of A, so a generator of eAe can have degree 2.
+        """
+        f = self.field
+        blocks: dict[tuple[int, int], list[int]] = {}
+        for i, b in enumerate(self.basis):
+            blocks.setdefault((b.source, b.target), []).append(i)
+        products: dict[tuple[int, int], list[dict[int, object]]] = {blk: [] for blk in blocks}
+        for i in self.radical_indices:
+            for j in self.radical_indices:
+                cell = self.table[i][j]
+                if cell:
+                    products[(self.basis[i].source, self.basis[j].target)].append(cell)
+        out = []
+        for blk, members in blocks.items():
+            pos = {k: t for t, k in enumerate(members)}
+            rows = []
+            for cell in products[blk]:
+                row = [f.zero()] * len(members)
+                for k, c in cell.items():
+                    row[pos[k]] = c
+                rows.append(row)
+            span = Subspace.from_rows(f, len(members), rows)
+            for t, k in enumerate(members):
+                if self.basis[k].degree == 0:
+                    continue
+                unit = [f.one() if s == t else f.zero() for s in range(len(members))]
+                if not span.contains_vector(unit):
+                    out.append(k)
+                    span = span.sum_with(Subspace.from_rows(f, len(members), [unit]))
+        return tuple(sorted(out))
+
+    @cached_property
     def fingerprint(self):
         tab = tuple(
             tuple(tuple(sorted((k, self.field.fmt(c)) for k, c in cell.items())) for cell in row)

@@ -240,7 +240,7 @@ def cmd_check_seq(args) -> int:
         f"exceptional sequence: {rep.verdict} ({rep.certainty})",
         f"complete: {rep.complete}",
     ]
-    lines += [f"witness {w.condition} (i={w.i}, j={w.j}, n={w.n}): dim {w.dim}" for w in rep.witnesses]
+    lines += [f"witness {w}" for w in rep.witnesses]
     return emit(args, payload, lines, OK if rep.verdict else NEGATIVE)
 
 
@@ -255,7 +255,7 @@ def cmd_check_thm_split(args) -> int:
     for h in rep.hypotheses:
         lines.append(f"hypothesis [{h.name}]: {'holds' if h.holds else 'FAILS'}"
                      + ("" if h.certified else " (not certified)"))
-        lines += [f"  witness (i={w.i}, j={w.j}, n={w.n}): dim {w.dim}" for w in h.witnesses]
+        lines += [f"  witness {w}" for w in h.witnesses]
     lines.append(f"image sequence exceptional: {rep.conclusion.verdict}")
     lines.append(f"implication violated: {rep.implication_violated}")
     return emit(args, payload, lines, OK if ok else NEGATIVE)

@@ -49,6 +49,11 @@ class Witness:
     def to_json_dict(self) -> dict:
         return {"condition": self.condition, "i": self.i, "j": self.j, "n": self.n, "dim": self.dim}
 
+    def __str__(self) -> str:
+        """'T3 i=1 j=2 dim 1': the condition, then the positions that are set."""
+        at = [f"{k}={v}" for k, v in (("i", self.i), ("j", self.j), ("n", self.n)) if v is not None]
+        return " ".join([self.condition, *at, f"dim {self.dim}"])
+
 
 @dataclass
 class ExceptionalReport:

@@ -16,7 +16,6 @@ from .bimodules import algebra_as_bimodule, hom_from_bimodule, tensor_with_bimod
 from .exceptional import (
     EnumerationConfig,
     HypothesisVerdict,
-    Witness,
     check_recollement_theorem,
     check_split_theorem,
     enumerate_ces,
@@ -136,18 +135,13 @@ def criterion_ces_path_algebra() -> CriterionResult:
     return CriterionResult(key, ok, f"{len(result.items)} complete exceptional sequences (expected 16)")
 
 
-def _witness_text(w: Witness) -> str:
-    at = [f"{k}={v}" for k, v in (("i", w.i), ("j", w.j), ("n", w.n)) if v is not None]
-    return " ".join([w.condition, *at, f"dim {w.dim}"])
-
-
 def _hypothesis_failure(h: HypothesisVerdict) -> str:
     """'<hypothesis> fails at <witnesses>', or why a true verdict is uncertified."""
     if h.holds:
         return f"{h.name} holds only up to bound"
     if not h.witnesses:
         return f"{h.name} fails"
-    return f"{h.name} fails at " + ", ".join(_witness_text(w) for w in h.witnesses)
+    return f"{h.name} fails at " + ", ".join(map(str, h.witnesses))
 
 
 def criterion_split_theorem_rows() -> CriterionResult:

@@ -3,11 +3,16 @@
 Row-vector convention throughout: vectors are rows and linear maps act on the
 right, v |-> v.M, so composition of maps reads left to right, matching path
 composition in the algebra layer.
+
+The kernels read `field.p` once and then work natively: `Fraction`
+arithmetic over Q, `int` arithmetic reduced `% p` over F_p.  Entries stay
+canonical: a `Fraction` over Q, an int in [0, p) over F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import FieldSpec
 
@@ -35,9 +40,19 @@ class Matrix:
         self.rows = data
 
     @classmethod
+    def _adopt(cls, field: FieldSpec, rows: list[list], nrows: int, ncols: int) -> "Matrix":
+        """Take ownership of freshly built, well-shaped rows: no copy, no check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        z = Fraction(0) if field.p is None else 0
+        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -79,49 +94,46 @@ class Matrix:
         return all(x == zero for r in self.rows for x in r)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.ncols,
-            self.nrows,
-        )
+        rows = [[r[j] for r in self.rows] for j in range(self.ncols)]
+        return Matrix._adopt(self.field, rows, self.ncols, self.nrows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        f = self.field
-        out = Matrix.zeros(f, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if b != 0:
-                        oi[j] = f.add(oi[j], f.mul(a, b))
-        return out
+        p = self.field.p
+        ncols = other.ncols
+        sparse = [[(j, b) for j, b in enumerate(rk) if b] for rk in other.rows]
+        zero = Fraction(0) if p is None else 0
+        out = []
+        for ri in self.rows:
+            acc = [zero] * ncols
+            for a, rk in zip(ri, sparse):
+                if a:
+                    for j, b in rk:
+                        acc[j] += a * b
+            out.append(acc if p is None else [x % p for x in acc])
+        return Matrix._adopt(self.field, out, self.nrows, ncols)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinalgError("shape mismatch in add")
-        f = self.field
-        return Matrix(
-            f,
-            [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nrows,
-            self.ncols,
-        )
+        p = self.field.p
+        if p is None:
+            rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        else:
+            rows = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._adopt(self.field, rows, self.nrows, self.ncols)
 
     def sub(self, other: "Matrix") -> "Matrix":
         return self.add(other.scale(self.field.neg(self.field.one())))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in r] for r in self.rows], self.nrows, self.ncols)
+        p = self.field.p
+        if p is None:
+            rows = [[c * x for x in r] for r in self.rows]
+        else:
+            rows = [[c * x % p for x in r] for r in self.rows]
+        return Matrix._adopt(self.field, rows, self.nrows, self.ncols)
 
     def row(self, i) -> list:
         return list(self.rows[i])
@@ -129,25 +141,38 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise LinalgError("determinant of non-square matrix")
-        f = self.field
+        p = self.field.p
         n = self.nrows
         work = [list(r) for r in self.rows]
-        det = f.one()
+        det = Fraction(1) if p is None else 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if work[r][col]), None)
             if piv is None:
-                return f.zero()
+                return Fraction(0) if p is None else 0
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
-                det = f.neg(det)
-            det = f.mul(det, work[col][col])
-            inv = f.inv(work[col][col])
-            for r in range(col + 1, n):
-                factor = f.mul(work[r][col], inv)
-                if factor == 0:
-                    continue
-                for c in range(col, n):
-                    work[r][c] = f.sub(work[r][c], f.mul(factor, work[col][c]))
+                det = -det if p is None else -det % p
+            prow = work[col]
+            lead = prow[col]
+            nz = [c for c in range(col + 1, n) if prow[c]]
+            if p is None:
+                det *= lead
+                inv = 1 / lead
+                for r in range(col + 1, n):
+                    wr = work[r]
+                    if wr[col]:
+                        factor = wr[col] * inv
+                        for c in nz:
+                            wr[c] -= factor * prow[c]
+            else:
+                det = det * lead % p
+                inv = pow(lead, -1, p)
+                for r in range(col + 1, n):
+                    wr = work[r]
+                    if wr[col]:
+                        factor = wr[col] * inv % p
+                        for c in nz:
+                            wr[c] = (wr[c] - factor * prow[c]) % p
         return det
 
     def __repr__(self):
@@ -158,7 +183,7 @@ class Matrix:
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
         raise LinalgError("hstack row mismatch")
-    return Matrix(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.nrows, a.ncols + b.ncols)
+    return Matrix._adopt(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.nrows, a.ncols + b.ncols)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
@@ -183,40 +208,53 @@ def block_diag(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
 def rref(m: Matrix, with_transform: bool = False):
     """Reduced row echelon form.
 
-    Returns (R, pivots) or (R, pivots, U) with U.m = R and U invertible.
+    Returns (R, pivots) or (R, pivots, U) with U.m = R and U invertible.  The
+    transform rides along as identity columns appended to m, so it undergoes
+    exactly the row operations that reduce m.
     """
-    f = m.field
-    work = [list(r) for r in m.rows]
-    trans = [[f.one() if i == j else f.zero() for j in range(m.nrows)] for i in range(m.nrows)] if with_transform else None
+    p = m.field.p
+    nrows, ncols = m.nrows, m.ncols
+    if with_transform:
+        one, zero = (Fraction(1), Fraction(0)) if p is None else (1, 0)
+        work = [list(r) + [zero] * nrows for r in m.rows]
+        for i, row in enumerate(work):
+            row[ncols + i] = one
+    else:
+        work = [list(r) for r in m.rows]
     pivots: list[int] = []
     r = 0
-    for col in range(m.ncols):
-        piv = next((i for i in range(r, m.nrows) if work[i][col] != 0), None)
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
-            if trans is not None:
-                trans[r], trans[piv] = trans[piv], trans[r]
-        inv = f.inv(work[r][col])
-        if work[r][col] != f.one():
-            work[r] = [f.mul(inv, x) for x in work[r]]
-            if trans is not None:
-                trans[r] = [f.mul(inv, x) for x in trans[r]]
-        for i in range(m.nrows):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(work[i], work[r])]
-                if trans is not None:
-                    trans[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(trans[i], trans[r])]
+        prow = work[r]
+        lead = prow[col]
+        if lead != 1:
+            if p is None:
+                inv = 1 / lead
+                prow = work[r] = [x * inv for x in prow]
+            else:
+                inv = pow(lead, -1, p)
+                prow = work[r] = [x * inv % p for x in prow]
+        for i in range(nrows):
+            wi = work[i]
+            factor = wi[col]
+            if factor and i != r:
+                if p is None:
+                    work[i] = [x - factor * y for x, y in zip(wi, prow)]
+                else:
+                    work[i] = [(x - factor * y) % p for x, y in zip(wi, prow)]
         pivots.append(col)
         r += 1
-        if r == m.nrows:
-            break
-    R = Matrix(f, work, m.nrows, m.ncols)
-    if with_transform:
-        return R, pivots, Matrix(f, trans, m.nrows, m.nrows)
-    return R, pivots
+    if not with_transform:
+        return Matrix._adopt(m.field, work, nrows, ncols), pivots
+    R = Matrix._adopt(m.field, [row[:ncols] for row in work], nrows, ncols)
+    U = Matrix._adopt(m.field, [row[ncols:] for row in work], nrows, nrows)
+    return R, pivots, U
 
 
 @dataclass(frozen=True)
@@ -243,9 +281,9 @@ class Subspace:
             raise LinalgError("row length != ambient dimension")
         if not rows:
             return cls(ambient, Matrix.zeros(field, 0, ambient), ())
-        R, piv = rref(Matrix(field, rows))
-        keep = [R.rows[i] for i in range(len(piv))]
-        return cls(ambient, Matrix(field, keep, len(piv), ambient), tuple(piv))
+        R, piv = rref(Matrix._adopt(field, rows, len(rows), ambient))
+        rank = len(piv)
+        return cls(ambient, Matrix._adopt(field, R.rows[:rank], rank, ambient), tuple(piv))
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -257,18 +295,23 @@ class Subspace:
 
     def reduce_vector(self, vec: list) -> list:
         """Subtract the projection onto this subspace (echelon reduction)."""
-        f = self.field
+        p = self.field.p
         v = list(vec)
-        for i, p in enumerate(self.pivots):
-            c = v[p]
-            if c != 0:
-                row = self.basis.rows[i]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        for row, piv in zip(self.basis.rows, self.pivots):
+            c = v[piv]
+            if c:
+                if p is None:
+                    for j, y in enumerate(row):
+                        if y:
+                            v[j] -= c * y
+                else:
+                    for j, y in enumerate(row):
+                        if y:
+                            v[j] = (v[j] - c * y) % p
         return v
 
     def contains_vector(self, vec) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for x in self.reduce_vector(list(vec)))
+        return not any(self.reduce_vector(vec))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.rows)
@@ -294,7 +337,7 @@ def rank_kernel_image(m: Matrix) -> tuple[int, Subspace, Subspace]:
     """
     R, piv, U = rref(m, with_transform=True)
     rank = len(piv)
-    image = Subspace(m.ncols, Matrix(m.field, R.rows[:rank], rank, m.ncols), tuple(piv))
+    image = Subspace(m.ncols, Matrix._adopt(m.field, R.rows[:rank], rank, m.ncols), tuple(piv))
     kernel = Subspace.from_rows(m.field, m.nrows, U.rows[rank:])
     return rank, kernel, image
 
@@ -307,24 +350,35 @@ def solve_right(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:
     if a.ncols != b.ncols:
         raise LinalgError(f"solve_right: a has {a.ncols} columns, b has {b.ncols}")
     f = a.field
+    p = f.p
     R, piv, U = rref(a, with_transform=True)
     rank = len(piv)
+    # sparse views of the pivot rows of R and of their transform rows
+    steps = [
+        (col, [(j, y) for j, y in enumerate(R.rows[i]) if y], [(j, y) for j, y in enumerate(U.rows[i]) if y])
+        for i, col in enumerate(piv)
+    ]
+    zero = Fraction(0) if p is None else 0
     sol_rows = []
     for r in b.rows:
         residual = list(r)
-        coeffs = [f.zero()] * a.nrows
-        for i, p in enumerate(piv):
-            c = residual[p]
-            if c != 0:
-                row = R.rows[i]
-                residual = [f.sub(x, f.mul(c, y)) for x, y in zip(residual, row)]
-                for j in range(a.nrows):
-                    coeffs[j] = f.add(coeffs[j], f.mul(c, U.rows[i][j]))
-        if any(x != 0 for x in residual):
+        coeffs = [zero] * a.nrows
+        for col, rrow, urow in steps:
+            c = residual[col]
+            if c:
+                if p is None:
+                    for j, y in rrow:
+                        residual[j] -= c * y
+                else:
+                    for j, y in rrow:
+                        residual[j] = (residual[j] - c * y) % p
+                for j, y in urow:
+                    coeffs[j] += c * y
+        if any(residual):
             return None
-        sol_rows.append(coeffs)
+        sol_rows.append(coeffs if p is None else [x % p for x in coeffs])
     kernel = Subspace.from_rows(f, a.nrows, U.rows[rank:])
-    return Matrix(f, sol_rows, b.nrows, a.nrows), kernel
+    return Matrix._adopt(f, sol_rows, b.nrows, a.nrows), kernel
 
 
 def quotient_with_section(field: FieldSpec, ambient: int, w: Subspace) -> tuple[Matrix, Matrix, int]:

@@ -275,7 +275,16 @@ def direct_sum(summands: list[RightModule]) -> RightModule:
 
 
 def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
-    """Canonical basis of Hom(M, N): kernel of the intertwining system."""
+    """Canonical basis of Hom(M, N): kernel of the intertwining system.
+
+    Equations are written only for the generators of the radical (a basis of
+    rad/rad^2, `Algebra.radical_generators`).  That is enough: rad is
+    nilpotent (`verify_algebra_axioms`), so rad = G + rad^2 unrolls to rad
+    being spanned by products of generators, and since M and N satisfy the
+    module axioms, rho(xy) = rho(x).rho(y) carries intertwining from the
+    generators to every radical element.  Each map is still re-verified on
+    all radical basis elements.
+    """
     a = m.algebra
     if not a.same_as(n.algebra):
         raise ModuleError("hom between modules over different algebras")
@@ -288,14 +297,14 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
         total += m.dims[v] * n.dims[v]
     if total == 0:
         return []
-    eqs: list[int] = []
+    gens = a.radical_generators
     n_eqs = 0
-    for i in a.radical_indices:
+    for i in gens:
         b = a.basis[i]
         n_eqs += m.dims[b.source] * n.dims[b.target]
     E = Matrix.zeros(f, total, n_eqs)
     eq = 0
-    for i in a.radical_indices:
+    for i in gens:
         b = a.basis[i]
         u, w = b.source, b.target
         rm = m.action[i]
@@ -736,6 +745,22 @@ def _hom_complex_rank(tower: _CoverTower, n: int, target: RightModule) -> tuple[
     return dim_n, rank
 
 
+def _ext_from_tower(tower: _CoverTower, target: RightModule, limit: int) -> list[int]:
+    """dim Ext^k(M, N) for k = 0..limit: the cohomology of Hom(P_*, N) along
+    the tower's projective terms (a missing or zero term contributes 0)."""
+    dims = []
+    prev_rank = 0
+    for k in range(limit + 1):
+        if k >= len(tower.terms) or tower.terms[k].is_zero:
+            dims.append(0)
+            prev_rank = 0
+            continue
+        dim_k, rank_k = _hom_complex_rank(tower, k, target)
+        dims.append(dim_k - rank_k - prev_rank)
+        prev_rank = rank_k
+    return dims
+
+
 def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
     """Dimensions of Ext^0..Ext^n_max(M, N) with a vanishing certificate.
 
@@ -762,16 +787,7 @@ def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
         limit = n_max
         certainty = ExactUpTo(n_max)
 
-    dims = []
-    prev_rank = 0
-    for k in range(limit + 1):
-        if k >= len(tower.terms) or tower.terms[k].is_zero:
-            dims.append(0)
-            prev_rank = 0
-            continue
-        dim_k, rank_k = _hom_complex_rank(tower, k, n)
-        dims.append(dim_k - rank_k - prev_rank)
-        prev_rank = rank_k
+    dims = _ext_from_tower(tower, n, limit)
     while len(dims) <= n_max:
         k = len(dims)
         if isinstance(status, FinitePd):
@@ -810,14 +826,4 @@ def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_v
     tower.syzygies.append(ker)
     tower.inclusions.append(kincl)
     tower.extend_to(n_max + 2)
-    dims = []
-    prev_rank = 0
-    for k in range(n_max + 1):
-        if k >= len(tower.terms) or tower.terms[k].is_zero:
-            dims.append(0)
-            prev_rank = 0
-            continue
-        dim_k, rank_k = _hom_complex_rank(tower, k, n)
-        dims.append(dim_k - rank_k - prev_rank)
-        prev_rank = rank_k
-    return dims
+    return _ext_from_tower(tower, n, n_max)

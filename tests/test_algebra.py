@@ -189,3 +189,27 @@ def test_zero_algebra_is_legal(a3):
     assert quot.dim == 0
     assert verify_algebra_axioms(quot) == []
     assert quot.radical_indices == ()
+
+
+# -- generators of the radical --------------------------------------------------
+
+
+def test_radical_generators_are_the_arrows(a3, a3_ab, cycle3, cycle3_ab, a42):
+    for alg in (a3, a3_ab, cycle3, cycle3_ab, a42):
+        arrows = sorted(alg.arrow_basis_index(x.name) for x in alg.quiver.arrows)
+        assert alg.radical_generators == tuple(arrows), alg.name
+
+
+def test_radical_generators_of_corners_can_have_degree_two(a3, cycle3_ab):
+    # e A e for e = e_1 + e_3 over a3: the only radical element is the path
+    # alpha*beta of length 2, and it generates
+    corner, _ = corner_algebra(a3, ["1", "3"])
+    assert [corner.basis[i].degree for i in corner.radical_generators] == [2]
+    assert [corner.basis[i].degree for i in corner.radical_indices] == [2]
+    # e A e for e = e_2 + e_3 over cycle3_ab: beta (2 -> 3) and gamma*alpha
+    # (3 -> 2) generate; their product beta*gamma*alpha is the rest of rad
+    corner, _ = corner_algebra(cycle3_ab, ["2", "3"])
+    gens = corner.radical_generators
+    assert sorted(corner.basis[i].degree for i in gens) == [1, 2]
+    (rest,) = [i for i in corner.radical_indices if i not in gens]
+    assert corner.mult(*gens) == {rest: corner.field.one()}

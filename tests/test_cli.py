@@ -130,6 +130,17 @@ def test_check_thm_split_positive_and_negative(capsys):
     assert "FAILS" in out
 
 
+def test_check_thm_split_names_the_failing_witness(capsys):
+    # row (f) fails hypothesis (3) at T3 i=1 j=2 (see test_acceptance.py)
+    code, out, _ = run(
+        capsys, "check", "thm-split", str(FIXDIR / "a3.alg"), str(FIXDIR / "seq_f.seq"),
+        "--kernel-arrows", "alpha",
+    )
+    assert code == 2
+    assert "  witness T3 i=1 j=2 dim 1" in out.splitlines()
+    assert "None" not in out
+
+
 def test_check_thm_split_nonprojective_extension(tmp_path, capsys):
     seq = tmp_path / "one.seq"
     seq.write_text("thin:1\n")

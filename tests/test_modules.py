@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exrep.algebra import corner_algebra
 from exrep.fields import RATIONALS
-from exrep.linalg import Matrix
+from exrep.linalg import Matrix, rank_kernel_image, solve_right
 from exrep.modules import (
     FinitePd,
     ModuleError,
@@ -22,6 +24,7 @@ from exrep.modules import (
     iso_test,
     make_module,
     minimal_resolution,
+    RightModule,
     module_from_arrow_maps,
     projective_module,
     simple_module,
@@ -391,3 +394,74 @@ def test_direct_sum_dims_and_end(picks):
     for v in range(a3.n_vertices):
         assert total.dims[v] == sum(m.dims[v] for m in mods)
     assert hom_dim(total, total) == sum(hom_dim(m, n) for m in mods for n in mods)
+
+
+# -- Hom over generators of the radical -----------------------------------------
+
+
+def full_hom_kernel(m, n):
+    """Hom(M, N) from the intertwining equations of every radical basis
+    element: row t of the system is the defect rho_M(b).f_w - f_u.rho_N(b),
+    over all b, of the unit map f = e_t."""
+    a = m.algebra
+    f = a.field
+    shapes = [(m.dims[v], n.dims[v]) for v in range(a.n_vertices)]
+    total = sum(r * c for r, c in shapes)
+    rows = []
+    for t in range(total):
+        unit = [f.one() if s == t else f.zero() for s in range(total)]
+        mats, pos = [], 0
+        for r, c in shapes:
+            mats.append(Matrix(f, [unit[pos + k * c : pos + (k + 1) * c] for k in range(r)], r, c))
+            pos += r * c
+        defect = []
+        for i in a.radical_indices:
+            b = a.basis[i]
+            d = m.action[i].mul(mats[b.target]).sub(mats[b.source].mul(n.action[i]))
+            defect += [x for row in d.rows for x in row]
+        rows.append(defect)
+    _, kernel, _ = rank_kernel_image(Matrix(f, rows, total, len(rows[0]) if rows else 0))
+    return kernel
+
+
+def conjugated_sum(algebra, specs, rng):
+    """Direct sum of named summands, with each vertex space re-based by a
+    random invertible integer matrix g_v: rho(b) becomes g_u.rho(b).g_w^-1."""
+    base = direct_sum([make_module(algebra, s) for s in specs])
+    f = algebra.field
+    g, g_inv = [], []
+    for d in base.dims:
+        while True:
+            mat = Matrix.from_int_rows(f, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+            if d == 0 or mat.det() != 0:
+                break
+        g.append(mat)
+        g_inv.append(solve_right(mat, Matrix.identity(f, d))[0])
+    action = {}
+    for i in algebra.radical_indices:
+        b = algebra.basis[i]
+        action[i] = g[b.source].mul(base.action[i]).mul(g_inv[b.target])
+    return RightModule(algebra, base.dims, action)
+
+
+def generator_test_algebras():
+    from exrep.goldens import bundled_algebra
+
+    return [
+        bundled_algebra("a3_ab"),
+        bundled_algebra("cycle3_ab"),
+        corner_algebra(bundled_algebra("a3"), ["1", "3"])[0],
+        corner_algebra(bundled_algebra("cycle3_ab"), ["2", "3"])[0],
+    ]
+
+
+@given(st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_hom_over_generators_equals_full_system(which, seed):
+    alg = generator_test_algebras()[which]
+    rng = random.Random(seed)
+    kinds = [f"{k}:{v}" for k in ("simple", "proj", "inj") for v in alg.vertices]
+    m = conjugated_sum(alg, rng.choices(kinds, k=rng.randint(1, 3)), rng)
+    n = conjugated_sum(alg, rng.choices(kinds, k=rng.randint(1, 3)), rng)
+    got = [h.flatten() for h in hom_basis(m, n)]
+    assert got == full_hom_kernel(m, n).basis.rows
