@@ -2,10 +2,15 @@
 
 An (A,B)-bimodule is bigraded by vertex pairs, with left action matrices for
 the radical basis of A and right action matrices for the radical basis of B;
-the two actions commute.  Tensoring a right A-module with an (A,B)-bimodule
-and taking right-B-linear maps out of one are the two workhorses: together
-with restriction along an algebra surjection they realize every functor used
-by the split-extension and recollement layers.
+the two actions commute.  Each row e_u X is a right B-module and each column
+X e_w a right module over the opposite of A, so the module layer does the
+rest: the axioms are the rows' and columns' module axioms plus "left
+multiplication is a map of rows" (`ModuleMap.commutes`), Hom out of X is
+`hom_basis` row by row, and forgetting one side is a direct sum of rows or of
+columns.  Tensoring a right A-module with an (A,B)-bimodule and taking
+right-B-linear maps out of one are the two workhorses: together with
+restriction along an algebra surjection they realize every functor used by the
+split-extension and recollement layers.
 
 Conventions: for a left action by a: u -> u' the matrix lam(a)[w] sends the
 block X_{u',w} to X_{u,w} (row convention, so x.lam is "multiply by a on the
@@ -15,9 +20,11 @@ to X_{u,w'}.
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgebraMorphismData
-from .linalg import Matrix, Subspace, quotient_with_section, rank_kernel_image, solve_right
-from .modules import ModuleError, RightModule
+from functools import cached_property
+
+from .algebra import Algebra, AlgebraMorphismData, opposite_algebra
+from .linalg import Matrix, Subspace, quotient_with_section, solve_right
+from .modules import ModuleError, ModuleMap, RightModule, direct_sum, hom_basis, zero_module
 
 
 class BimoduleError(ValueError):
@@ -33,7 +40,6 @@ class Bimodule:
         left: dict[int, dict[int, Matrix]],
         right: dict[int, dict[int, Matrix]],
         name: str = "bimodule",
-        check: bool = True,
     ):
         if left_algebra.field != right_algebra.field:
             raise BimoduleError("bimodule algebras over different fields")
@@ -69,66 +75,47 @@ class Bimodule:
                     raise BimoduleError(f"right action of {right_algebra.basis_label(j)} has wrong shape at row {u}")
                 per_u[u] = m
             self.right[j] = per_u
-        if check:
-            bad = self.violations()
-            if bad:
-                raise BimoduleError("bimodule axioms fail: " + bad[0])
+        bad = self.violations()
+        if bad:
+            raise BimoduleError("bimodule axioms fail: " + bad[0])
 
     @property
     def field(self):
         return self.left_algebra.field
 
+    @cached_property
+    def rows(self) -> list[RightModule]:
+        """e_u X for each left vertex u, as a right module over the right algebra."""
+        return [
+            RightModule(self.right_algebra, dims, {j: per_u[u] for j, per_u in self.right.items()}, check=False)
+            for u, dims in enumerate(self.dims)
+        ]
+
+    @cached_property
+    def columns(self) -> list[RightModule]:
+        """X e_w for each right vertex w, as a right module over the opposite
+        of the left algebra (a: u -> u2 acts there from u2 to u)."""
+        opp, _ = opposite_algebra(self.left_algebra)
+        return [
+            RightModule(opp, [row[w] for row in self.dims], {i: per_w[w] for i, per_w in self.left.items()}, check=False)
+            for w in range(self.right_algebra.n_vertices)
+        ]
+
+    def left_map(self, i: int) -> ModuleMap:
+        """Left multiplication by radical element i (u -> u2): e_u2 X -> e_u X."""
+        a = self.left_algebra.basis[i]
+        mats = [self.left[i][w] for w in range(self.right_algebra.n_vertices)]
+        return ModuleMap(self.rows[a.target], self.rows[a.source], mats, check=False)
+
     def violations(self) -> list[str]:
-        A, B, f = self.left_algebra, self.right_algebra, self.field
-        out = []
-        # left multiplicativity: lam(a1*a2) = lam(a2).lam(a1) blockwise
-        for i1 in A.radical_indices:
-            b1 = A.basis[i1]
-            for i2 in A.radical_indices:
-                b2 = A.basis[i2]
-                if b1.target != b2.source:
-                    continue
-                for w in range(B.n_vertices):
-                    lhs = self.left[i2][w].mul(self.left[i1][w])
-                    rhs = Matrix.zeros(f, self.dims[b2.target][w], self.dims[b1.source][w])
-                    for k, c in A.mult(i1, i2).items():
-                        rhs = rhs.add(self._left_any(k, w).scale(c))
-                    if lhs != rhs:
-                        out.append(f"left pair ({A.basis_label(i1)},{A.basis_label(i2)}) column {w}")
-        for j1 in B.radical_indices:
-            c1 = B.basis[j1]
-            for j2 in B.radical_indices:
-                c2 = B.basis[j2]
-                if c1.target != c2.source:
-                    continue
-                for u in range(A.n_vertices):
-                    lhs = self.right[j1][u].mul(self.right[j2][u])
-                    rhs = Matrix.zeros(f, self.dims[u][c1.source], self.dims[u][c2.target])
-                    for k, c in B.mult(j1, j2).items():
-                        rhs = rhs.add(self._right_any(k, u).scale(c))
-                    if lhs != rhs:
-                        out.append(f"right pair ({B.basis_label(j1)},{B.basis_label(j2)}) row {u}")
-        for i in A.radical_indices:
-            a = A.basis[i]
-            for j in B.radical_indices:
-                b = B.basis[j]
-                lhs = self.left[i][b.source].mul(self.right[j][a.source])
-                rhs = self.right[j][a.target].mul(self.left[i][b.target])
-                if lhs != rhs:
-                    out.append(f"actions do not commute: ({A.basis_label(i)}, {B.basis_label(j)})")
+        """Right multiplicativity per row, left multiplicativity per column
+        (the module axiom over the opposite algebra), and commuting actions."""
+        out = [f"row {u}: {bad}" for u, row in enumerate(self.rows) for bad in row.violations()]
+        out += [f"column {w}: {bad}" for w, col in enumerate(self.columns) for bad in col.violations()]
+        for i in self.left_algebra.radical_indices:
+            if not self.left_map(i).commutes():
+                out.append(f"actions do not commute: left {self.left_algebra.basis_label(i)}")
         return out
-
-    def _left_any(self, k: int, w: int) -> Matrix:
-        b = self.left_algebra.basis[k]
-        if b.degree == 0:
-            return Matrix.identity(self.field, self.dims[b.source][w])
-        return self.left[k][w]
-
-    def _right_any(self, k: int, u: int) -> Matrix:
-        b = self.right_algebra.basis[k]
-        if b.degree == 0:
-            return Matrix.identity(self.field, self.dims[u][b.source])
-        return self.right[k][u]
 
     def __repr__(self):
         return f"Bimodule({self.name}: {self.left_algebra.name} x {self.right_algebra.name})"
@@ -227,14 +214,23 @@ def algebra_as_bimodule(
 
 def _tensor_data(m: RightModule, x: Bimodule):
     """Quotient data behind M tensor_A X: the module plus the per-column
-    ambient offsets and projection/section pairs (needed for functoriality)."""
+    ambient offsets and projection/section pairs (needed for functoriality).
+
+    The ambient right B-module is the direct sum of dim M_v copies of e_v X.
+    Balancing relations are written only for the generators of the radical:
+    a relation is linear in a, and the relation for a.b at (m, x) is the
+    relation for b at (m.a, x) plus the relation for a at (m, b.x), so the
+    generators span every relation (rad is spanned by their products).
+    """
     A, B = x.left_algebra, x.right_algebra
     if not m.algebra.same_as(A):
         raise ModuleError("tensor: module is not over the bimodule's left algebra")
     f = x.field
     nv, nw = A.n_vertices, B.n_vertices
+    copies = [x.rows[v] for v in range(nv) for _ in range(m.dims[v])]
+    ambient = direct_sum(copies) if copies else zero_module(B)
+    amb = list(ambient.dims)
     offsets: list[list[int]] = []
-    amb: list[int] = []
     for w in range(nw):
         offs = []
         total = 0
@@ -242,11 +238,10 @@ def _tensor_data(m: RightModule, x: Bimodule):
             offs.append(total)
             total += m.dims[v] * x.dims[v][w]
         offsets.append(offs)
-        amb.append(total)
-    rel_spaces: list[Subspace] = []
+    projs, sects, dims = [], [], []
     for w in range(nw):
         rows = []
-        for i in A.radical_indices:
+        for i in A.radical_generators:
             a = A.basis[i]
             v, v2 = a.source, a.target  # a: v -> v2
             act = m.action[i]           # M_v -> M_v2
@@ -268,28 +263,14 @@ def _tensor_data(m: RightModule, x: Bimodule):
                             )
                     if any(e != 0 for e in row):
                         rows.append(row)
-        rel_spaces.append(Subspace.from_rows(f, amb[w], rows))
-    projs, sects, dims = [], [], []
-    for w in range(nw):
-        p, s, q = quotient_with_section(f, amb[w], rel_spaces[w])
+        p, s, q = quotient_with_section(f, amb[w], Subspace.from_rows(f, amb[w], rows))
         projs.append(p)
         sects.append(s)
         dims.append(q)
     action: dict[int, Matrix] = {}
     for j in B.radical_indices:
         b = B.basis[j]
-        w, w2 = b.source, b.target
-        big = Matrix.zeros(f, amb[w], amb[w2])
-        for v in range(nv):
-            rho = x.right[j][v]  # X_{v,w} -> X_{v,w2}
-            for p in range(m.dims[v]):
-                for t in range(x.dims[v][w]):
-                    src = offsets[w][v] + p * x.dims[v][w] + t
-                    for t2 in range(x.dims[v][w2]):
-                        c = rho.rows[t][t2]
-                        if c != 0:
-                            big.rows[src][offsets[w2][v] + p * x.dims[v][w2] + t2] = c
-        action[j] = sects[w].mul(big).mul(projs[w2])
+        action[j] = sects[b.source].mul(ambient.action[j]).mul(projs[b.target])
     return RightModule(B, dims, action), projs, sects, offsets, amb
 
 
@@ -305,8 +286,6 @@ def tensor_with_bimodule(m: RightModule, x: Bimodule) -> RightModule:
 
 def tensor_with_bimodule_map(fmap, x: Bimodule):
     """Functoriality of - tensor X: the induced map between the tensors."""
-    from .modules import ModuleMap
-
     A, B = x.left_algebra, x.right_algebra
     f = x.field
     src_mod, _, src_sects, src_off, src_amb = _tensor_data(fmap.source, x)
@@ -330,153 +309,41 @@ def tensor_with_bimodule_map(fmap, x: Bimodule):
 def hom_from_bimodule(x: Bimodule, n: RightModule) -> RightModule:
     """Hom_B(X, N) as a right A-module, for X an (A,B)-bimodule and N over B.
 
-    The space over an A-vertex u is the solution space of right-B-linear maps
-    from the row e_u X to N; the right A-action is (f.a)(x) = f(a.x).
+    The space over an A-vertex u is Hom_B(e_u X, N) (`hom_basis` of the row);
+    the right A-action is (f.a)(x) = f(a.x), read off by solving the
+    precomposed basis maps against the target row's basis.
     """
     A, B = x.left_algebra, x.right_algebra
     if not n.algebra.same_as(B):
         raise ModuleError("hom: module is not over the bimodule's right algebra")
     f = x.field
-    nu, nw = A.n_vertices, B.n_vertices
-    # unknowns per u: block matrices f_w : X_{u,w} -> N_w
-    bases: list[list[list[Matrix]]] = []  # per u: list of solutions, each a list of per-w matrices
-    offsets_per_u: list[list[int]] = []
-    ambients: list[int] = []
-    for u in range(nu):
-        offs = []
-        total = 0
-        for w in range(nw):
-            offs.append(total)
-            total += x.dims[u][w] * n.dims[w]
-        offsets_per_u.append(offs)
-        ambients.append(total)
-    for u in range(nu):
-        total = ambients[u]
-        if total == 0:
-            bases.append([])
-            continue
-        n_eqs = 0
-        for j in B.radical_indices:
-            b = B.basis[j]
-            n_eqs += x.dims[u][b.source] * n.dims[b.target]
-        E = Matrix.zeros(f, total, n_eqs)
-        eq = 0
-        offs = offsets_per_u[u]
-        for j in B.radical_indices:
-            b = B.basis[j]
-            w, w2 = b.source, b.target
-            rho_x = x.right[j][u]  # X_{u,w} -> X_{u,w2}
-            rho_n = n.action[j]    # N_w -> N_w2
-            for p in range(x.dims[u][w]):
-                for q in range(n.dims[w2]):
-                    for k in range(x.dims[u][w2]):
-                        c = rho_x.rows[p][k]
-                        if c != 0:
-                            idx = offs[w2] + k * n.dims[w2] + q
-                            E.rows[idx][eq] = f.add(E.rows[idx][eq], c)
-                    for l in range(n.dims[w]):
-                        c = rho_n.rows[l][q]
-                        if c != 0:
-                            idx = offs[w] + p * n.dims[w] + l
-                            E.rows[idx][eq] = f.sub(E.rows[idx][eq], c)
-                    eq += 1
-        _, kernel, _ = rank_kernel_image(E)
-        sols = []
-        for row in kernel.basis.rows:
-            mats = []
-            for w in range(nw):
-                mat = Matrix.zeros(f, x.dims[u][w], n.dims[w])
-                for p in range(x.dims[u][w]):
-                    for q in range(n.dims[w]):
-                        mat.rows[p][q] = row[offs[w] + p * n.dims[w] + q]
-                mats.append(mat)
-            sols.append(mats)
-        bases.append(sols)
-    dims = [len(bases[u]) for u in range(nu)]
+    bases = [hom_basis(row, n) for row in x.rows]
+    dims = [len(basis) for basis in bases]
     action: dict[int, Matrix] = {}
     for i in A.radical_indices:
         a = A.basis[i]
         u, u2 = a.source, a.target
-        mat = Matrix.zeros(f, dims[u], dims[u2])
-        for r, sol in enumerate(bases[u]):
-            # (f.a) on e_{u2}X: precompose with left multiplication by a
-            moved = [x.left[i][w].mul(sol[w]) for w in range(nw)]
-            flat = [e for w in range(nw) for row_ in moved[w].rows for e in row_]
-            if dims[u2] == 0:
-                continue
-            amb_rows = []
-            for sol2 in bases[u2]:
-                amb_rows.append([e for w in range(nw) for row_ in sol2[w].rows for e in row_])
-            width = ambients[u2]
-            sol_m = solve_right(Matrix(f, amb_rows, dims[u2], width), Matrix(f, [flat], 1, width))
-            if sol_m is None:
-                raise BimoduleError("hom action left the solution space (internal error)")
-            mat.rows[r] = sol_m[0].rows[0]
-        action[i] = mat
+        lam = x.left_map(i)
+        width = sum(d * e for d, e in zip(x.rows[u2].dims, n.dims))
+        target = Matrix(f, [h.flatten() for h in bases[u2]], dims[u2], width)
+        moved = Matrix(f, [lam.compose(h).flatten() for h in bases[u]], dims[u], width)
+        sol = solve_right(target, moved)
+        if sol is None:
+            raise BimoduleError("hom action left the solution space (internal error)")
+        action[i] = sol[0]
     return RightModule(A, dims, action)
 
 
 def left_module_over_op(x: Bimodule) -> RightModule:
     """Forget the right action: the left structure as a right module over the
-    opposite of the left algebra (space at u is the direct sum of row u)."""
-    from .algebra import opposite_algebra
-
-    a = x.left_algebra
-    opp, _ = opposite_algebra(a)
-    f = a.field
-    nw = x.right_algebra.n_vertices
-    offsets: list[list[int]] = []
-    dims = []
-    for u in range(a.n_vertices):
-        offs = []
-        total = 0
-        for w in range(nw):
-            offs.append(total)
-            total += x.dims[u][w]
-        offsets.append(offs)
-        dims.append(total)
-    action: dict[int, Matrix] = {}
-    for i in a.radical_indices:
-        b = a.basis[i]  # u -> u2 in A; over the opposite it runs u2 -> u
-        u, u2 = b.source, b.target
-        mat = Matrix.zeros(f, dims[u2], dims[u])
-        for w in range(nw):
-            lam = x.left[i][w]  # X_{u2,w} -> X_{u,w}
-            for p in range(x.dims[u2][w]):
-                for q in range(x.dims[u][w]):
-                    mat.rows[offsets[u2][w] + p][offsets[u][w] + q] = lam.rows[p][q]
-        action[i] = mat
-    return RightModule(opp, dims, action)
+    opposite of the left algebra (the direct sum of the columns)."""
+    return direct_sum(x.columns) if x.columns else zero_module(opposite_algebra(x.left_algebra)[0])
 
 
 def right_module_of(x: Bimodule) -> RightModule:
     """Forget the left action: the underlying right module over the right
-    algebra (space at w is the direct sum of column w)."""
-    b_alg = x.right_algebra
-    f = x.field
-    nu = x.left_algebra.n_vertices
-    offsets: list[list[int]] = []
-    dims = []
-    for w in range(b_alg.n_vertices):
-        offs = []
-        total = 0
-        for u in range(nu):
-            offs.append(total)
-            total += x.dims[u][w]
-        offsets.append(offs)
-        dims.append(total)
-    action: dict[int, Matrix] = {}
-    for j in b_alg.radical_indices:
-        b = b_alg.basis[j]
-        w, w2 = b.source, b.target
-        mat = Matrix.zeros(f, dims[w], dims[w2])
-        for u in range(nu):
-            rho = x.right[j][u]
-            for p in range(x.dims[u][w]):
-                for q in range(x.dims[u][w2]):
-                    mat.rows[offsets[w][u] + p][offsets[w2][u] + q] = rho.rows[p][q]
-        action[j] = mat
-    return RightModule(b_alg, dims, action)
+    algebra (the direct sum of the rows)."""
+    return direct_sum(x.rows) if x.rows else zero_module(x.right_algebra)
 
 
 def restrict_along_surjection(m: RightModule, morph: AlgebraMorphismData) -> RightModule:

@@ -24,6 +24,7 @@ from .exceptional import (
 from .fileio import parse_algebra_file, parse_sequence_file
 from .fields import F2
 from .modules import (
+    ModuleError,
     Periodic,
     RightModule,
     direct_sum,
@@ -93,7 +94,7 @@ def _thin_references(algebra: Algebra) -> dict[tuple[str, ...], RightModule]:
         for sup in itertools.combinations(algebra.vertices, k):
             try:
                 refs[sup] = thin_module(algebra, sup)
-            except Exception:
+            except ModuleError:
                 continue
     return refs
 

@@ -122,3 +122,23 @@ def test_commutation_violation_detected(a3):
     bad_left[i][2] = target_block.scale(a3.field.from_int(-1))
     with pytest.raises(BimoduleError):
         Bimodule(a3, a3, x.dims, bad_left, x.right, name="corrupted")
+
+
+def test_corrupted_right_block_is_a_row_violation(a3):
+    x = algebra_as_bimodule(a3, a3, a3)
+    # alpha*beta: 1 -> 3 acting on row 1 sends X_{1,1} to X_{1,3}
+    j = next(k for k in a3.radical_indices if a3.basis_label(k) == "alpha*beta")
+    bad_right = {k: dict(per) for k, per in x.right.items()}
+    bad_right[j][0] = bad_right[j][0].scale(a3.field.from_int(2))
+    with pytest.raises(BimoduleError, match="row 0"):
+        Bimodule(a3, a3, x.dims, x.left, bad_right, name="corrupted")
+
+
+def test_corrupted_left_block_of_a_path_is_a_column_violation(a3):
+    x = algebra_as_bimodule(a3, a3, a3)
+    # alpha*beta: 1 -> 3 acting on column 3 sends X_{3,3} to X_{1,3}
+    i = next(k for k in a3.radical_indices if a3.basis_label(k) == "alpha*beta")
+    bad_left = {k: dict(per) for k, per in x.left.items()}
+    bad_left[i][2] = bad_left[i][2].scale(a3.field.from_int(2))
+    with pytest.raises(BimoduleError, match="column 2"):
+        Bimodule(a3, a3, x.dims, bad_left, x.right, name="corrupted")

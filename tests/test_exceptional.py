@@ -18,6 +18,7 @@ from exrep.goldens import bundled_sequence
 from exrep.modules import (
     ModuleError,
     direct_sum,
+    is_semibrick,
     projective_module,
     simple_module,
     thin_module,
@@ -77,16 +78,23 @@ def test_projective_pair_order_matters(a3):
 
 
 def test_semibrick_reports(a3):
-    simples = [simple_module(a3, v) for v in a3.vertices]
-    assert semibrick_report(simples).verdict
-    assert semibrick_report([]).verdict
-    rep = semibrick_report([thin_module(a3, ("1", "2")), thin_module(a3, ("2", "3"))])
+    cases = {
+        "simples": [simple_module(a3, v) for v in a3.vertices],
+        "empty": [],
+        "pair": [thin_module(a3, ("1", "2")), thin_module(a3, ("2", "3"))],
+        "chain": [thin_module(a3, ("1", "2", "3")), simple_module(a3, "3")],
+    }
+    reports = {name: semibrick_report(mods) for name, mods in cases.items()}
+    assert reports["simples"].verdict
+    assert reports["empty"].verdict
     # (23) surjects onto its top S2, which embeds as the socle of (12)
-    assert not rep.verdict
-    assert any(w.condition == "cross-hom" and (w.i, w.j, w.dim) == (2, 1, 1) for w in rep.witnesses)
-    rep2 = semibrick_report([thin_module(a3, ("1", "2", "3")), simple_module(a3, "3")])
-    assert not rep2.verdict
-    assert any(w.condition == "cross-hom" for w in rep2.witnesses)
+    assert not reports["pair"].verdict
+    assert any(w.condition == "cross-hom" and (w.i, w.j, w.dim) == (2, 1, 1) for w in reports["pair"].witnesses)
+    assert not reports["chain"].verdict
+    assert any(w.condition == "cross-hom" for w in reports["chain"].witnesses)
+    # the report's verdict agrees with the plain predicate
+    for name, mods in cases.items():
+        assert reports[name].verdict == is_semibrick(mods), name
 
 
 # -- enumeration ---------------------------------------------------------------
