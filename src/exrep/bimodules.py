@@ -21,6 +21,7 @@ to X_{u,w'}.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import Algebra, AlgebraMorphismData, opposite_algebra
 from .linalg import Matrix, Subspace, quotient_with_section, solve_right
@@ -212,9 +213,20 @@ def algebra_as_bimodule(
 # functors
 
 
-def _tensor_data(m: RightModule, x: Bimodule):
-    """Quotient data behind M tensor_A X: the module plus the per-column
-    ambient offsets and projection/section pairs (needed for functoriality).
+class TensorQuotient(NamedTuple):
+    """M tensor_A X as a quotient of its ambient space, per B-vertex w: the
+    module, the projection and section of each quotient, the offset of each
+    block M_v (x) X_{v,w} in the ambient space, and the ambient dimension."""
+
+    module: RightModule
+    projs: list[Matrix]
+    sects: list[Matrix]
+    offsets: list[list[int]]
+    ambient_dims: list[int]
+
+
+def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
+    """The quotient data behind M tensor_A X (functoriality needs all of it).
 
     The ambient right B-module is the direct sum of dim M_v copies of e_v X.
     Balancing relations are written only for the generators of the radical:
@@ -271,7 +283,7 @@ def _tensor_data(m: RightModule, x: Bimodule):
     for j in B.radical_indices:
         b = B.basis[j]
         action[j] = sects[b.source].mul(ambient.action[j]).mul(projs[b.target])
-    return RightModule(B, dims, action), projs, sects, offsets, amb
+    return TensorQuotient(RightModule(B, dims, action), projs, sects, offsets, amb)
 
 
 def tensor_with_bimodule(m: RightModule, x: Bimodule) -> RightModule:
@@ -281,15 +293,25 @@ def tensor_with_bimodule(m: RightModule, x: Bimodule) -> RightModule:
     modulo the balancing relations (m.a)(x)x - m(x)(a.x) for radical a; the
     right B-action is induced through the canonical section of the quotient.
     """
-    return _tensor_data(m, x)[0]
+    return tensor_quotient(m, x).module
 
 
-def tensor_with_bimodule_map(fmap, x: Bimodule):
-    """Functoriality of - tensor X: the induced map between the tensors."""
+def tensor_with_bimodule_map(
+    fmap: ModuleMap, x: Bimodule, source: TensorQuotient | None = None, target: TensorQuotient | None = None
+) -> ModuleMap:
+    """Functoriality of - tensor X: the induced map between the tensors.
+
+    `source` and `target` are the `tensor_quotient`s of fmap's source and
+    target when the caller already holds them; missing ones are computed.
+    """
     A, B = x.left_algebra, x.right_algebra
     f = x.field
-    src_mod, _, src_sects, src_off, src_amb = _tensor_data(fmap.source, x)
-    tgt_mod, tgt_projs, _, tgt_off, tgt_amb = _tensor_data(fmap.target, x)
+    if source is None:
+        source = tensor_quotient(fmap.source, x)
+    if target is None:
+        target = tensor_quotient(fmap.target, x)
+    src_mod, _, src_sects, src_off, src_amb = source
+    tgt_mod, tgt_projs, _, tgt_off, tgt_amb = target
     mats = []
     for w in range(B.n_vertices):
         big = Matrix.zeros(f, src_amb[w], tgt_amb[w])

@@ -21,9 +21,9 @@ from .linalg import Matrix
 from .modules import (
     ExtResult,
     ModuleError,
+    Resolution,
     RightModule,
     brick_report,
-    ext_dims,
     hom_dim,
     iso_test,
 )
@@ -82,9 +82,9 @@ _FIELD_NOTE = (
 )
 
 
-def _self_ext_check(m: RightModule, n_max: int) -> tuple[bool, bool, list[Witness], ExtResult]:
+def _self_ext_check(src: Resolution, n_max: int) -> tuple[bool, bool, list[Witness], ExtResult]:
     """(all positive self-exts vanish?, certified?, witnesses, raw result)."""
-    res = ext_dims(m, m, n_max)
+    res = src.ext(src.module, n_max)
     wit = [
         Witness("E2", None, None, n, d)
         for n, d in enumerate(res.dims)
@@ -96,9 +96,15 @@ def _self_ext_check(m: RightModule, n_max: int) -> tuple[bool, bool, list[Witnes
 
 def is_exceptional(m: RightModule, n_max: int = 24) -> ExceptionalReport:
     """Brick plus certified vanishing of all positive self-extensions."""
+    return _module_report(Resolution(m), n_max)
+
+
+def _module_report(src: Resolution, n_max: int) -> ExceptionalReport:
+    """`is_exceptional` of src.module, reading self-Ext from src."""
+    m = src.module
     end_dim, brick = brick_report(m)
     witnesses = [Witness("E1", None, None, None, end_dim)]
-    vanish, certified, ext_wit, _ = _self_ext_check(m, n_max)
+    vanish, certified, ext_wit, _ = _self_ext_check(src, n_max)
     witnesses += ext_wit
     verdict = brick and vanish
     if not verdict:
@@ -111,13 +117,14 @@ def is_exceptional(m: RightModule, n_max: int = 24) -> ExceptionalReport:
     return rep
 
 
-def _cross_vanishes(later: RightModule, earlier: RightModule, n_max: int, i: int, j: int):
-    """Hom(later, earlier) = 0 and certified Ext^n(later, earlier) = 0, n >= 1."""
+def _cross_vanishes(later: Resolution, earlier: RightModule, n_max: int, i: int, j: int):
+    """Hom(later, earlier) = 0 and certified Ext^n(later, earlier) = 0, n >= 1,
+    with Ext read from the resolution of the later module."""
     witnesses = []
-    h = hom_dim(later, earlier)
+    h = hom_dim(later.module, earlier)
     if h != 0:
         witnesses.append(Witness("E1'", i, j, None, h))
-    res = ext_dims(later, earlier, n_max)
+    res = later.ext(earlier, n_max)
     for n, d in enumerate(res.dims):
         if n >= 1 and d != 0:
             witnesses.append(Witness("E2'", i, j, n, d))
@@ -129,6 +136,13 @@ def _cross_vanishes(later: RightModule, earlier: RightModule, n_max: int, i: int
 def is_exceptional_sequence(mods: list[RightModule], n_max: int = 24) -> ExceptionalReport:
     """Every member exceptional; for i < j the pair (M_i, M_j) has
     Hom(M_j, M_i) = 0 and certified Ext^n(M_j, M_i) = 0 for n >= 1."""
+    return _sequence_report([Resolution(m) for m in mods], n_max)
+
+
+def _sequence_report(resolutions: list[Resolution], n_max: int) -> ExceptionalReport:
+    """`is_exceptional_sequence` of the resolved modules: member j's
+    resolution serves its self-Ext and every pair (M_i, M_j) with i < j."""
+    mods = [r.module for r in resolutions]
     if not mods:
         return ExceptionalReport("sequence", True, CERTIFIED, None, [])
     a = mods[0].algebra
@@ -138,8 +152,8 @@ def is_exceptional_sequence(mods: list[RightModule], n_max: int = 24) -> Excepti
     verdict = True
     all_certified = True
     witnesses: list[Witness] = []
-    for k, m in enumerate(mods):
-        rep = is_exceptional(m, n_max)
+    for k, src in enumerate(resolutions):
+        rep = _module_report(src, n_max)
         if not rep.verdict:
             verdict = False
             witnesses += [Witness(w.condition, k + 1, k + 1, w.n, w.dim) for w in rep.witnesses if w.condition != "E1" or w.dim != 1]
@@ -147,7 +161,7 @@ def is_exceptional_sequence(mods: list[RightModule], n_max: int = 24) -> Excepti
             all_certified = False
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
-            ok, certified, wit = _cross_vanishes(mods[j], mods[i], n_max, i + 1, j + 1)
+            ok, certified, wit = _cross_vanishes(resolutions[j], mods[i], n_max, i + 1, j + 1)
             if not ok:
                 verdict = False
                 witnesses += wit
@@ -254,7 +268,8 @@ def check_split_theorem(se: SplitExtension, mods: list[RightModule], n_max: int 
     for m in mods:
         if not m.algebra.same_as(a):
             raise ModuleError("sequence must live over the quotient algebra of the extension")
-    hyp1_rep = is_exceptional_sequence(mods, n_max)
+    resolutions = [Resolution(m) for m in mods]
+    hyp1_rep = _sequence_report(resolutions, n_max)
     hyp1 = HypothesisVerdict("sequence exceptional over A", hyp1_rep.verdict, hyp1_rep.certainty == CERTIFIED, hyp1_rep.witnesses)
     hyp2 = HypothesisVerdict("R projective as left A-module", se.is_projective_left, True)
     tq = [se.tensor_with_Q(m) for m in mods]
@@ -266,7 +281,7 @@ def check_split_theorem(se: SplitExtension, mods: list[RightModule], n_max: int 
             d = hom_dim(mods[j], tq[i])
             if d != 0:
                 hom_wit.append(Witness("T3", i + 1, j + 1, None, d))
-            res = ext_dims(mods[j], tq[i], n_max)
+            res = resolutions[j].ext(tq[i], n_max)
             for n, dd in enumerate(res.dims):
                 if n >= 1 and dd != 0:
                     ext_wit.append(Witness("T4", i + 1, j + 1, n, dd))
@@ -298,8 +313,10 @@ def check_recollement_theorem(
     """Input exceptionality plus the exactness certificates; images i_*(X_k)
     and j_!(Y_k); dimension identities Ext^n(F M, F M) = Ext^n(M, M) for
     n <= identity_n_max."""
-    in_i = is_exceptional_sequence(seq_over_quotient, n_max)
-    in_j = is_exceptional_sequence(seq_over_corner, n_max)
+    res_x = [Resolution(x) for x in seq_over_quotient]
+    res_y = [Resolution(y) for y in seq_over_corner]
+    in_i = _sequence_report(res_x, n_max)
+    in_j = _sequence_report(res_y, n_max)
     hyp_xi = HypothesisVerdict(
         "sequence exceptional over the quotient", in_i.verdict, in_i.certainty == CERTIFIED, in_i.witnesses
     )
@@ -310,9 +327,11 @@ def check_recollement_theorem(
     hyp_s = HypothesisVerdict("i^! exact (Abar projective as right A-module)", rec.ishriek_exact, True)
     images_i = [rec.apply(I_STAR, x) for x in seq_over_quotient]
     images_j = [rec.apply(J_LOWER, y) for y in seq_over_corner]
-    rep_i = is_exceptional_sequence(images_i, n_max)
+    res_fx = [Resolution(fx) for fx in images_i]
+    res_fy = [Resolution(fy) for fy in images_j]
+    rep_i = _sequence_report(res_fx, n_max)
     rep_i.images = [render_module(im, name=f"i_star_{k + 1}") for k, im in enumerate(images_i)]
-    rep_j = is_exceptional_sequence(images_j, n_max)
+    rep_j = _sequence_report(res_fy, n_max)
     rep_j.images = [render_module(im, name=f"j_lower_{k + 1}") for k, im in enumerate(images_j)]
     rep = TheoremReport(
         "recollement theorem",
@@ -321,14 +340,14 @@ def check_recollement_theorem(
         conclusions=[rep_i, rep_j],
         image_dims=[m.dims for m in images_i + images_j],
     )
-    for k, (x, fx) in enumerate(zip(seq_over_quotient, images_i)):
-        lhs = ext_dims(fx, fx, identity_n_max).dims
-        rhs = ext_dims(x, x, identity_n_max).dims
+    for k, (x, fx) in enumerate(zip(res_x, res_fx)):
+        lhs = fx.ext(fx.module, identity_n_max).dims
+        rhs = x.ext(x.module, identity_n_max).dims
         if lhs != rhs:
             rep.notes.append(f"dimension identity fails for i_* at position {k + 1}: {lhs} vs {rhs}")
-    for k, (y, fy) in enumerate(zip(seq_over_corner, images_j)):
-        lhs = ext_dims(fy, fy, identity_n_max).dims
-        rhs = ext_dims(y, y, identity_n_max).dims
+    for k, (y, fy) in enumerate(zip(res_y, res_fy)):
+        lhs = fy.ext(fy.module, identity_n_max).dims
+        rhs = y.ext(y.module, identity_n_max).dims
         if lhs != rhs:
             rep.notes.append(f"dimension identity fails for j_! at position {k + 1}: {lhs} vs {rhs}")
     if rep.implication_violated:
@@ -490,7 +509,8 @@ def _canonical_module_key(m: RightModule):
 def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> EnumerationResult:
     """All complete exceptional sequences assembled from the enumerated bricks.
 
-    The pair compatibility digraph is built first (Y may follow X iff
+    Only bricks certified exceptional are used (a verdict up to a bound is
+    not enough).  The pair compatibility digraph is built first (Y may follow X iff
     Hom(Y, X) = 0 and Ext^n(Y, X) = 0 for all n >= 1, certified), then all
     length-r sequences satisfying every pair constraint are collected by
     backtracking.  When the input algebra is rational, enumeration runs over
@@ -502,7 +522,13 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
     brick_result = enumerate_bricks(algebra, cfg)
     work_bricks: list[RightModule] = brick_result.items
     notes = list(brick_result.notes)
-    exceptional = [m for m in work_bricks if is_exceptional(m, n_max).verdict]
+    # each brick is resolved once; its resolution serves its own check and all its pairs
+    admitted = []
+    for src in map(Resolution, work_bricks):
+        rep = _module_report(src, n_max)
+        if rep.verdict and rep.certainty == CERTIFIED:
+            admitted.append(src)
+    exceptional = [src.module for src in admitted]
     r = algebra.n_vertices
     k = len(exceptional)
     may_follow = [[False] * k for _ in range(k)]
@@ -510,7 +536,7 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
         for y in range(k):
             if x == y:
                 continue
-            ok, certified, _ = _cross_vanishes(exceptional[y], exceptional[x], n_max, 1, 2)
+            ok, certified, _ = _cross_vanishes(admitted[y], exceptional[x], n_max, 1, 2)
             may_follow[x][y] = ok and certified
     sequences: list[tuple[int, ...]] = []
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Fractions are immutable, so one instance of each constant serves every caller
+Q_ZERO = Fraction(0)
+Q_ONE = Fraction(1)
+
 
 class FieldError(ValueError):
     pass
@@ -43,10 +47,10 @@ class FieldSpec:
         return self.p is None
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return Q_ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return Q_ONE if self.p is None else 1
 
     def from_int(self, n: int):
         return Fraction(n) if self.p is None else n % self.p

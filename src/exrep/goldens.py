@@ -19,15 +19,16 @@ from .exceptional import (
     check_recollement_theorem,
     check_split_theorem,
     enumerate_ces,
-    ext_dims,
 )
 from .fileio import parse_algebra_file, parse_sequence_file
 from .fields import F2
 from .modules import (
     ModuleError,
     Periodic,
+    Resolution,
     RightModule,
     direct_sum,
+    ext_dims,
     ext_dims_from_tower_padded,
     hom_dim,
     iso_test,
@@ -337,11 +338,12 @@ def criterion_property_suite() -> CriterionResult:
     # (iv) hereditary Euler-form oracle on all thin pairs over the path algebra
     thins3 = list(_thin_references(a3).values())
     for m in thins3:
+        src = Resolution(m)
         for n in thins3:
             euler = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
             euler -= m.dims[0] * n.dims[1]  # arrow 1 -> 2
             euler -= m.dims[1] * n.dims[2]  # arrow 2 -> 3
-            res = ext_dims(m, n, 3)
+            res = src.ext(n, 3)
             if hom_dim(m, n) - res.dims[1] != euler or any(res.dims[2:]):
                 problems.append(f"(iv) Euler oracle fails for {m.dims}, {n.dims}")
 
@@ -350,8 +352,9 @@ def criterion_property_suite() -> CriterionResult:
         thins = list(_thin_references(alg).values())
         simples = [make_module(alg, f"simple:{v}") for v in alg.vertices]
         for m in thins:
+            src = Resolution(m)
             for n in simples:
-                minimal = ext_dims(m, n, 4).dims
+                minimal = src.ext(n, 4).dims
                 padded = ext_dims_from_tower_padded(m, n, 4, alg.vertices[0])
                 if minimal != padded:
                     problems.append(f"(v) padded disagreement over {alg.name}: {m.dims} vs {n.dims}")

@@ -12,9 +12,8 @@ canonical: a `Fraction` over Q, an int in [0, p) over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .fields import FieldSpec
+from .fields import Q_ONE, Q_ZERO, FieldSpec
 
 
 class LinalgError(ValueError):
@@ -51,7 +50,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = Fraction(0) if field.p is None else 0
+        z = Q_ZERO if field.p is None else 0
         return cls._adopt(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
@@ -103,7 +102,7 @@ class Matrix:
         p = self.field.p
         ncols = other.ncols
         sparse = [[(j, b) for j, b in enumerate(rk) if b] for rk in other.rows]
-        zero = Fraction(0) if p is None else 0
+        zero = Q_ZERO if p is None else 0
         out = []
         for ri in self.rows:
             acc = [zero] * ncols
@@ -144,11 +143,11 @@ class Matrix:
         p = self.field.p
         n = self.nrows
         work = [list(r) for r in self.rows]
-        det = Fraction(1) if p is None else 1
+        det = Q_ONE if p is None else 1
         for col in range(n):
             piv = next((r for r in range(col, n) if work[r][col]), None)
             if piv is None:
-                return Fraction(0) if p is None else 0
+                return Q_ZERO if p is None else 0
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
                 det = -det if p is None else -det % p
@@ -215,7 +214,7 @@ def rref(m: Matrix, with_transform: bool = False):
     p = m.field.p
     nrows, ncols = m.nrows, m.ncols
     if with_transform:
-        one, zero = (Fraction(1), Fraction(0)) if p is None else (1, 0)
+        one, zero = (Q_ONE, Q_ZERO) if p is None else (1, 0)
         work = [list(r) + [zero] * nrows for r in m.rows]
         for i, row in enumerate(work):
             row[ncols + i] = one
@@ -358,7 +357,7 @@ def solve_right(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:
         (col, [(j, y) for j, y in enumerate(R.rows[i]) if y], [(j, y) for j, y in enumerate(U.rows[i]) if y])
         for i, col in enumerate(piv)
     ]
-    zero = Fraction(0) if p is None else 0
+    zero = Q_ZERO if p is None else 0
     sol_rows = []
     for r in b.rows:
         residual = list(r)

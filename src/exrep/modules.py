@@ -603,8 +603,18 @@ class ResolutionPrefix:
     status: FinitePd | Periodic | TruncatedAt
 
 
-class _CoverTower:
-    """Iterated projective covers with composed differentials."""
+class Resolution:
+    """The minimal projective resolution of one module, grown on demand.
+
+    Append-only: step s adds the cover P_{s-1} of omega^{s-1}, its composed
+    differential and the syzygy omega^s, and nothing recorded ever changes.
+    Growth stops at a zero syzygy.  The first syzygy isomorphic to an earlier
+    one is recorded when it is found, so `status(k)` reports exactly what a
+    fresh resolution of k steps reports, however far this one has grown.
+    One object serves every Ext read from its module: callers that read Ext
+    from one source into many targets hold it for the length of their
+    computation and pass it along.
+    """
 
     def __init__(self, m: RightModule):
         self.module = m
@@ -612,53 +622,96 @@ class _CoverTower:
         self.inclusions: list[ModuleMap | None] = [None]  # omega^i -> P_{i-1}
         self.terms: list[RightModule] = []
         self.diffs: list[ModuleMap] = []
+        self._scanned = 0  # syzygies 1.._scanned were compared with every earlier one
+        self._period: Periodic | None = None
 
     def steps(self) -> int:
         return len(self.terms)
 
-    def extend_once(self) -> None:
-        om = self.syzygies[-1]
-        _, cover, cmap = top_and_cover(om)
+    def _push(self, cover: RightModule, cmap: ModuleMap) -> None:
+        """Append the step cover -> omega^{last} (cmap onto the last syzygy)."""
         incl = self.inclusions[-1]
-        if incl is None:
-            diff = cmap
-        else:
-            diff = cmap.compose(incl)
         self.terms.append(cover)
-        self.diffs.append(diff)
+        self.diffs.append(cmap if incl is None else cmap.compose(incl))
         ker, kincl = kernel_of(cmap)
         self.syzygies.append(ker)
         self.inclusions.append(kincl)
 
-    def extend_to(self, steps: int, stop_on_zero: bool = True) -> None:
-        while self.steps() < steps:
-            if stop_on_zero and self.syzygies[-1].is_zero and self.steps() > 0:
+    def extend_to(self, steps: int) -> None:
+        """Grow to `steps` covers, stopping at a zero syzygy (the module itself
+        always gets its cover)."""
+        while self.steps() < steps and not (self.steps() and self.syzygies[-1].is_zero):
+            _, cover, cmap = top_and_cover(self.syzygies[-1])
+            self._push(cover, cmap)
+
+    def status(self, max_steps: int) -> FinitePd | Periodic | TruncatedAt:
+        """FinitePd(k) once omega^{k+1} vanishes within max_steps; Periodic(j, q)
+        when omega^{j+q} is the first syzygy isomorphic to an earlier one (the
+        earliest such omega^j); TruncatedAt(max_steps) otherwise."""
+        for s in range(1, max_steps + 1):
+            self.extend_to(s)
+            if self.syzygies[s].is_zero:
+                return FinitePd(s - 1)
+            if s > self._scanned:
+                self._scanned = s
+                self._period = self._earlier_copy(s)
+            if self._period is not None and self._period.lead + self._period.period == s:
+                return self._period
+        return TruncatedAt(max_steps)
+
+    def _earlier_copy(self, s: int) -> Periodic | None:
+        """Periodic(j, s - j) for the earliest omega^j isomorphic to omega^s."""
+        for j in range(s):
+            if self.syzygies[j].dims == self.syzygies[s].dims and iso_test(self.syzygies[j], self.syzygies[s]).isomorphic:
+                return Periodic(j, s - j)
+        return None
+
+    def prefix(self, max_steps: int) -> ResolutionPrefix:
+        """The first max_steps covers and the status of that prefix."""
+        if max_steps < 1:
+            raise ModuleError("max_steps must be >= 1")
+        status = self.status(max_steps)
+        self.extend_to(max_steps)
+        return ResolutionPrefix(
+            module=self.module,
+            terms=self.terms[:max_steps],
+            diffs=self.diffs[:max_steps],
+            syzygies=self.syzygies[: max_steps + 1],
+            status=status,
+        )
+
+    def ext(self, n: RightModule, n_max: int = 8) -> ExtResult:
+        """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`."""
+        m = self.module
+        if not m.algebra.same_as(n.algebra):
+            raise ModuleError("ext between modules over different algebras")
+        if n_max < 0:
+            raise ModuleError("n_max must be >= 0")
+        if m.is_zero:
+            return ExtResult([0] * (n_max + 1), AllHigherVanish(-1))
+        status = self.status(n_max + 2)
+        if isinstance(status, FinitePd):
+            limit = min(n_max, status.pd)
+            certainty: ExactUpTo | AllHigherVanish | EventuallyPeriodic = AllHigherVanish(status.pd)
+        elif isinstance(status, Periodic):
+            limit = min(n_max, status.lead + status.period)
+            self.extend_to(limit + 2)
+            certainty = EventuallyPeriodic(status.lead, status.period)
+        else:
+            limit = n_max
+            certainty = ExactUpTo(n_max)
+
+        dims = _ext_from_tower(self, n, limit)
+        while len(dims) <= n_max:
+            k = len(dims)
+            if isinstance(status, FinitePd):
+                dims.append(0)
+            elif isinstance(status, Periodic):
+                j, q = status.lead, status.period
+                dims.append(dims[j + 1 + (k - j - 1) % q])
+            else:
                 break
-            self.extend_once()
-
-
-def _resolve(m: RightModule, max_steps: int, stop_at_detection: bool = False):
-    tower = _CoverTower(m)
-    status: FinitePd | Periodic | TruncatedAt | None = None
-    while tower.steps() < max_steps:
-        tower.extend_once()
-        s = len(tower.syzygies) - 1
-        if tower.syzygies[-1].is_zero:
-            status = FinitePd(tower.steps() - 1)
-            break
-        if not isinstance(status, Periodic):
-            for j in range(s):
-                if tower.syzygies[j].dims != tower.syzygies[s].dims:
-                    continue
-                res = iso_test(tower.syzygies[j], tower.syzygies[s])
-                if res.isomorphic:
-                    status = Periodic(j, s - j)
-                    break
-        if stop_at_detection and status is not None:
-            break
-    if status is None:
-        status = TruncatedAt(max_steps)
-    return tower, status
+        return ExtResult(dims, certainty)
 
 
 def minimal_resolution(m: RightModule, max_steps: int = 24) -> ResolutionPrefix:
@@ -670,16 +723,7 @@ def minimal_resolution(m: RightModule, max_steps: int = 24) -> ResolutionPrefix:
     Terms keep being computed up to max_steps even after periodicity is found,
     so callers can read as many covers as they asked for.
     """
-    if max_steps < 1:
-        raise ModuleError("max_steps must be >= 1")
-    tower, status = _resolve(m, max_steps)
-    return ResolutionPrefix(
-        module=m,
-        terms=tower.terms,
-        diffs=tower.diffs,
-        syzygies=tower.syzygies,
-        status=status,
-    )
+    return Resolution(m).prefix(max_steps)
 
 
 def is_projective_module(m: RightModule) -> bool:
@@ -727,16 +771,16 @@ class ExtResult:
         return False
 
 
-def _hom_complex_rank(tower: _CoverTower, n: int, target: RightModule) -> tuple[int, int]:
+def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
     """(dim Hom(P_n, N), rank of the map Hom(P_n, N) -> Hom(P_{n+1}, N))."""
-    P_n = tower.terms[n]
+    P_n = res.terms[n]
     basis_n = hom_basis(P_n, target)
     dim_n = len(basis_n)
     if dim_n == 0:
         return 0, 0
-    if n + 1 >= len(tower.terms) or tower.terms[n + 1].is_zero:
+    if n + 1 >= len(res.terms) or res.terms[n + 1].is_zero:
         return dim_n, 0
-    D = tower.diffs[n + 1]
+    D = res.diffs[n + 1]
     rows = [D.compose(h).flatten() for h in basis_n]
     width = len(rows[0])
     if width == 0:
@@ -745,17 +789,17 @@ def _hom_complex_rank(tower: _CoverTower, n: int, target: RightModule) -> tuple[
     return dim_n, rank
 
 
-def _ext_from_tower(tower: _CoverTower, target: RightModule, limit: int) -> list[int]:
+def _ext_from_tower(res: Resolution, target: RightModule, limit: int) -> list[int]:
     """dim Ext^k(M, N) for k = 0..limit: the cohomology of Hom(P_*, N) along
-    the tower's projective terms (a missing or zero term contributes 0)."""
+    the resolution's projective terms (a missing or zero term contributes 0)."""
     dims = []
     prev_rank = 0
     for k in range(limit + 1):
-        if k >= len(tower.terms) or tower.terms[k].is_zero:
+        if k >= len(res.terms) or res.terms[k].is_zero:
             dims.append(0)
             prev_rank = 0
             continue
-        dim_k, rank_k = _hom_complex_rank(tower, k, target)
+        dim_k, rank_k = _hom_complex_rank(res, k, target)
         dims.append(dim_k - rank_k - prev_rank)
         prev_rank = rank_k
     return dims
@@ -767,37 +811,10 @@ def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
     Ext is read off the minimal resolution of M; a finite resolution
     certifies all higher groups vanish, a certified syzygy period makes the
     dimensions eventually periodic (minimal resolutions are unique up to
-    isomorphism from the lead syzygy on).
+    isomorphism from the lead syzygy on).  This is the one-target case of
+    `Resolution.ext`.
     """
-    if not m.algebra.same_as(n.algebra):
-        raise ModuleError("ext between modules over different algebras")
-    if n_max < 0:
-        raise ModuleError("n_max must be >= 0")
-    if m.is_zero:
-        return ExtResult([0] * (n_max + 1), AllHigherVanish(-1))
-    tower, status = _resolve(m, max(1, n_max + 2), stop_at_detection=True)
-    if isinstance(status, FinitePd):
-        limit = min(n_max, status.pd)
-        certainty: ExactUpTo | AllHigherVanish | EventuallyPeriodic = AllHigherVanish(status.pd)
-    elif isinstance(status, Periodic):
-        limit = min(n_max, status.lead + status.period)
-        tower.extend_to(limit + 2, stop_on_zero=False)
-        certainty = EventuallyPeriodic(status.lead, status.period)
-    else:
-        limit = n_max
-        certainty = ExactUpTo(n_max)
-
-    dims = _ext_from_tower(tower, n, limit)
-    while len(dims) <= n_max:
-        k = len(dims)
-        if isinstance(status, FinitePd):
-            dims.append(0)
-        elif isinstance(status, Periodic):
-            j, q = status.lead, status.period
-            dims.append(dims[j + 1 + (k - j - 1) % q])
-        else:
-            break
-    return ExtResult(dims, certainty)
+    return Resolution(m).ext(n, n_max)
 
 
 def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_vertex: str) -> list[int]:
@@ -819,11 +836,7 @@ def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_v
         z = Matrix.zeros(f, extra.dims[v], m.dims[v])
         mats.append(Matrix(f, cmap.mats[v].rows + z.rows, padded.dims[v], m.dims[v]))
     pmap = ModuleMap(padded, m, mats)
-    tower = _CoverTower(m)
-    tower.terms.append(padded)
-    tower.diffs.append(pmap)
-    ker, kincl = kernel_of(pmap)
-    tower.syzygies.append(ker)
-    tower.inclusions.append(kincl)
-    tower.extend_to(n_max + 2)
-    return _ext_from_tower(tower, n, n_max)
+    res = Resolution(m)
+    res._push(padded, pmap)
+    res.extend_to(n_max + 2)
+    return _ext_from_tower(res, n, n_max)

@@ -29,7 +29,9 @@ from .bimodules import (
     left_module_over_op,
     restrict_along_surjection,
     right_module_of,
+    tensor_quotient,
     tensor_with_bimodule,
+    tensor_with_bimodule_map,
 )
 from .linalg import Matrix, Subspace, rank_kernel_image
 from .modules import (
@@ -326,7 +328,14 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     # certificate soundness: under the i^* certificate j_! must carry short
     # exact sequences to short exact sequences
     if rec.istar_exact:
-        from .bimodules import tensor_with_bimodule_map
+        # each module's tensor quotient is computed once for this check: the
+        # inclusion and the projection of a sample share its middle term
+        quotients: dict = {}
+
+        def quotient(mod: RightModule):
+            if mod.fingerprint not in quotients:
+                quotients[mod.fingerprint] = tensor_quotient(mod, rec.eps_A)
+            return quotients[mod.fingerprint]
 
         for k, n in enumerate(samples_til):
             if n.is_zero:
@@ -334,8 +343,8 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
             spaces = _random_stable_submodule(n, rng)
             sub, incl = submodule(n, spaces)
             quot, proj = quotient_module(n, spaces)
-            f_incl = tensor_with_bimodule_map(incl, rec.eps_A)
-            f_proj = tensor_with_bimodule_map(proj, rec.eps_A)
+            f_incl = tensor_with_bimodule_map(incl, rec.eps_A, quotient(sub), quotient(n))
+            f_proj = tensor_with_bimodule_map(proj, rec.eps_A, quotient(n), quotient(quot))
             check(
                 "j_! exact (i^* exact)",
                 _exactness_preserved(

@@ -186,6 +186,27 @@ def test_ces_cross_check_on_bound_cycle(cycle3_ab):
     assert direct == len(result.items) == 13
 
 
+def test_ces_admits_only_certified_bricks():
+    """Over F2 with n_max = 0, S(1) of a3_ab is a brick whose self-Ext is only
+    seen up to the bound: pd S(1) = 2, and two resolution steps do not reach
+    the zero syzygy.  Such a brick must not enter a sequence, so every emitted
+    sequence re-checks certified."""
+    from exrep.algebra import build_algebra
+    from exrep.fileio import parse_algebra_file
+    from exrep.goldens import fixture_text
+
+    name, quiver, relations, fld = parse_algebra_file(fixture_text("a3_ab.alg").replace("field Q", "field F 2"))
+    a3_ab_f2 = build_algebra(quiver, relations, fld, name=name)
+    s1 = simple_module(a3_ab_f2, "1")
+    assert is_exceptional(s1, n_max=0).certainty == "up-to-bound:0"
+    result = enumerate_ces(a3_ab_f2, EnumerationConfig(), n_max=0)
+    assert result.complete
+    assert len(result.items) == 6
+    for seq in result.items:
+        assert all(m.dims != s1.dims for m in seq)
+        assert is_exceptional_sequence(list(seq), n_max=0).certainty == CERTIFIED
+
+
 def test_ces_match_bundled_rows(a42):
     result = enumerate_ces(a42, EnumerationConfig())
     expected = set()

@@ -111,6 +111,39 @@ def test_laws_clean_on_a42(a42):
         assert rep.ok
 
 
+def test_law_checker_computes_each_tensor_quotient_once(a3, monkeypatch):
+    """Under the i^* certificate, the inclusion and the projection of a sample
+    share their middle term: its tensor quotient is computed once, and the
+    induced maps equal the ones computed from scratch."""
+    import exrep.recollements as recollements
+    from exrep.bimodules import tensor_quotient, tensor_with_bimodule_map
+
+    rec = build_recollement(a3, ("3",))
+    assert rec.istar_exact
+    seen, maps = [], []
+
+    def counting(m, x):
+        seen.append(m.fingerprint)
+        return tensor_quotient(m, x)
+
+    def checked_map(fmap, x, source, target):
+        out = tensor_with_bimodule_map(fmap, x, source, target)
+        maps.append((fmap, out))
+        return out
+
+    monkeypatch.setattr(recollements, "tensor_quotient", counting)
+    monkeypatch.setattr(recollements, "tensor_with_bimodule_map", checked_map)
+    rep = verify_recollement_laws(rec, thins(a3), seed=11)
+    assert rep.ok
+    assert seen and len(seen) == len(set(seen))
+    assert len(maps) == 2 * sum(1 for law in rep.checked if law == "j_! exact (i^* exact)")
+    for fmap, out in maps:
+        fresh = tensor_with_bimodule_map(fmap, rec.eps_A)
+        assert out.mats == fresh.mats
+        assert out.source.fingerprint == fresh.source.fingerprint
+        assert out.target.fingerprint == fresh.target.fingerprint
+
+
 def test_laws_catch_swapped_bimodule(a3):
     # misuse Aeps where epsA belongs: the (j_!, j^*) adjunction must fail
     rec = build_recollement(a3, ("2", "3"))
