@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, quotient_with_section
+from .linalg import Matrix, Subspace, quotient_with_section, solve_right
 from .quiver import Quiver, RelationExpr
 
 
@@ -156,6 +156,62 @@ class Algebra:
                     out.append(k)
                     span = span.sum_with(Subspace.from_rows(f, len(members), [unit]))
         return tuple(sorted(out))
+
+    @cached_property
+    def radical_words(self) -> dict[int, tuple[tuple[tuple[int, ...], object], ...]]:
+        """Each radical basis element as a combination of generator words.
+
+        Maps a radical index to ((word, coefficient), ...), where a word is a
+        tuple of `radical_generators` multiplied left to right.  Words grow
+        one generator at a time from the generators themselves; a word is
+        kept when its value is independent of the words kept before it in
+        its Peirce block, and only kept words are grown further.  Since rad
+        is spanned by products of generators, the kept words of a block form
+        a basis of its radical part, and every basis element is solved
+        against that basis inside its block.
+        """
+        f = self.field
+        one = f.one()
+        members: dict[tuple[int, int], list[int]] = {}
+        for i in self.radical_indices:
+            b = self.basis[i]
+            members.setdefault((b.source, b.target), []).append(i)
+        kept: dict[tuple[int, int], list[tuple[tuple[int, ...], list]]] = {blk: [] for blk in members}
+        spans = {blk: Subspace.zero(f, len(ms)) for blk, ms in members.items()}
+
+        def keep(word: tuple[int, ...], value: dict[int, object]) -> bool:
+            blk = (self.basis[word[0]].source, self.basis[word[-1]].target)
+            pos = members[blk]
+            row = [value.get(k, f.zero()) for k in pos]
+            if spans[blk].contains_vector(row):
+                return False
+            spans[blk] = spans[blk].sum_with(Subspace.from_rows(f, len(pos), [row]))
+            kept[blk].append((word, row))
+            return True
+
+        frontier = [((g,), {g: one}) for g in self.radical_generators]
+        frontier = [(w, v) for w, v in frontier if keep(w, v)]
+        while frontier:
+            grown = []
+            for word, value in frontier:
+                for g in self.radical_generators:
+                    if self.basis[g].source != self.basis[word[-1]].target:
+                        continue
+                    longer = (*word, g)
+                    product = self.mult_vec(value, {g: one})
+                    if product and keep(longer, product):
+                        grown.append((longer, product))
+            frontier = grown
+        out: dict[int, tuple[tuple[tuple[int, ...], object], ...]] = {}
+        for blk, pos in members.items():
+            words = kept[blk]
+            if len(words) != len(pos):
+                raise AlgebraError(f"radical generators do not span the radical of {self.name}")
+            values = Matrix(f, [row for _, row in words], len(words), len(pos))
+            coords, _ = solve_right(values, Matrix.identity(f, len(pos)))
+            for k, crow in zip(pos, coords.rows):
+                out[k] = tuple((w, c) for (w, _), c in zip(words, crow) if c != 0)
+        return out
 
     @cached_property
     def fingerprint(self):

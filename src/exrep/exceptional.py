@@ -26,6 +26,7 @@ from .modules import (
     brick_report,
     hom_dim,
     iso_test,
+    module_from_generators,
 )
 from .recollements import I_STAR, J_LOWER, Recollement
 from .split_extensions import TENSOR_UP, SplitExtension
@@ -380,6 +381,7 @@ class EnumerationResult:
     items: list
     complete: bool
     notes: list[str] = field(default_factory=list)
+    candidates: int = 0  # candidates drawn by enumerate_bricks, at most the budget
 
 
 class BudgetExceeded(Exception):
@@ -441,13 +443,40 @@ def _lift_module(m: RightModule, target: Algebra) -> RightModule:
     return RightModule(target, m.dims, action)
 
 
+def _rank_normal_forms(f: FieldSpec, rows: int, cols: int) -> list[Matrix]:
+    """N_0, N_1, ...: the rank-r matrix that is zero except for an
+    anti-diagonal identity in its bottom-right r x r block.  N_r is the
+    lex-least (row-major, 0 < 1 < ... < p-1) matrix of rank r, so it is the
+    first point of its GL(rows) x GL(cols) orbit in entry order."""
+    out = []
+    for r in range(min(rows, cols) + 1):
+        m = Matrix.zeros(f, rows, cols)
+        for k in range(r):
+            m.rows[rows - r + k][cols - 1 - k] = f.one()
+        out.append(m)
+    return out
+
+
+def _entry_key(m: RightModule) -> tuple:
+    """All action entries in radical-basis order, row-major: the order in
+    which a search over every radical matrix would meet the module."""
+    return tuple(x for i in m.algebra.radical_indices for row in m.action[i].rows for x in row)
+
+
 def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationResult:
     """All bricks with vertex dimensions <= dim_bound, up to isomorphism.
 
-    Candidates are explicit representations with entries in the configured
-    prime field (one matrix per radical basis element), filtered by the
-    module axioms, then by the brick test, then deduplicated with iso_test.
-    Output is ordered by dimension vector, then matrix entries.
+    Candidates are points of a slice of the representation space over the
+    configured prime field: one matrix per radical generator, every other
+    radical element acting through its generator words.  When the first
+    radical basis element is a generator between distinct vertices, its
+    matrix is fixed to each rank normal form N_r; every isomorphism class
+    meets that slice, because GL at the two end vertices moves the matrix to
+    N_r.  Each candidate is checked against the module axioms, then by the
+    brick test, then deduplicated with iso_test.  Each class is represented
+    by its point with the least `_entry_key`, which has N_r as first matrix
+    and so lies in the slice.  Output is ordered by dimension vector, then
+    matrix entries.  The budget counts candidates.
     """
     if cfg.field.is_rational:
         raise ModuleError("enumeration needs a prime field; use e.g. F2 and re-verify over Q")
@@ -455,8 +484,11 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
     if work.is_zero:
         return EnumerationResult([], True)
     f = cfg.field
-    p = f.p
-    elements = [f.from_int(k) for k in range(p)]
+    elements = [f.from_int(k) for k in range(f.p)]
+    gens = work.radical_generators
+    first = work.radical_indices[0] if work.radical_indices else None
+    pinned = first if first in gens and work.basis[first].source != work.basis[first].target else None
+    free = [g for g in gens if g != pinned]
     bricks: list[RightModule] = []
     notes: list[str] = []
     count = 0
@@ -465,37 +497,44 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
         for dims in itertools.product(range(cfg.dim_bound + 1), repeat=work.n_vertices):
             if sum(dims) == 0:
                 continue
-            shapes = []
-            for i in work.radical_indices:
-                b = work.basis[i]
-                shapes.append((i, dims[b.source], dims[b.target]))
+            shapes = [(g, dims[work.basis[g].source], dims[work.basis[g].target]) for g in free]
             entry_slots = sum(r * c for _, r, c in shapes)
-            for assignment in itertools.product(elements, repeat=entry_slots):
+            pins = [{}]
+            if pinned is not None:
+                b = work.basis[pinned]
+                pins = [{pinned: n} for n in _rank_normal_forms(f, dims[b.source], dims[b.target])]
+            for pin, assignment in itertools.product(pins, itertools.product(elements, repeat=entry_slots)):
                 count += 1
                 if count > cfg.budget:
                     raise BudgetExceeded
-                action = {}
+                action = dict(pin)
                 pos = 0
-                for i, r, c in shapes:
-                    action[i] = Matrix(f, [list(assignment[pos + k * c : pos + (k + 1) * c]) for k in range(r)], r, c)
+                for g, r, c in shapes:
+                    action[g] = Matrix(f, [assignment[pos + k * c : pos + (k + 1) * c] for k in range(r)], r, c)
                     pos += r * c
                 try:
-                    m = RightModule(work, dims, action)
+                    m = module_from_generators(work, dims, action)
                 except ModuleError:
                     continue
                 if not brick_report(m)[1]:
                     continue
-                if any(
-                    rep.dims == m.dims and iso_test(rep, m, budget=cfg.budget).isomorphic
-                    for rep in bricks
-                ):
-                    continue
-                bricks.append(m)
+                twin = next(
+                    (
+                        k
+                        for k, rep in enumerate(bricks)
+                        if rep.dims == m.dims and iso_test(rep, m, budget=cfg.budget).isomorphic
+                    ),
+                    None,
+                )
+                if twin is None:
+                    bricks.append(m)
+                elif _entry_key(m) < _entry_key(bricks[twin]):
+                    bricks[twin] = m
     except BudgetExceeded:
         complete = False
         notes.append(f"candidate budget {cfg.budget} exceeded; result is a partial list")
     bricks.sort(key=_canonical_module_key)
-    return EnumerationResult(bricks, complete, notes)
+    return EnumerationResult(bricks, complete, notes, candidates=min(count, cfg.budget))
 
 
 def _canonical_module_key(m: RightModule):
@@ -569,4 +608,4 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
     out_sequences.sort(key=lambda mods: tuple(_canonical_module_key(m) for m in mods))
     if lift_needed:
         notes.append(f"enumerated over {cfg.field.name()}, re-verified over {algebra.field.name()}")
-    return EnumerationResult(out_sequences, brick_result.complete, notes)
+    return EnumerationResult(out_sequences, brick_result.complete, notes, brick_result.candidates)

@@ -179,18 +179,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.nrows != b.nrows:
-        raise LinalgError("hstack row mismatch")
-    return Matrix._adopt(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.nrows, a.ncols + b.ncols)
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.ncols:
-        raise LinalgError("vstack column mismatch")
-    return Matrix(a.field, a.rows + b.rows, a.nrows + b.nrows, a.ncols)
-
-
 def block_diag(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
     nr = sum(b.nrows for b in blocks)
     nc = sum(b.ncols for b in blocks)

@@ -190,6 +190,33 @@ def module_from_arrow_maps(algebra: Algebra, dims, arrow_maps: dict[str, Matrix]
     return RightModule(algebra, dims, action)
 
 
+def module_from_generators(algebra: Algebra, dims, gen_action: dict[int, Matrix]) -> RightModule:
+    """Extend matrices for `algebra.radical_generators` to every radical
+    basis element along `algebra.radical_words`, then verify; the axioms
+    then fail exactly when a relation among the generators fails."""
+    f = algebra.field
+    products: dict[tuple[int, ...], Matrix] = {}
+
+    def product(word: tuple[int, ...]) -> Matrix:
+        out = products.get(word)
+        if out is None:
+            last = gen_action[word[-1]]
+            out = products[word] = last if len(word) == 1 else product(word[:-1]).mul(last)
+        return out
+
+    action: dict[int, Matrix] = {}
+    for i, combo in algebra.radical_words.items():
+        if len(combo) == 1 and combo[0][1] == 1:
+            action[i] = product(combo[0][0])
+            continue
+        b = algebra.basis[i]
+        acc = Matrix.zeros(f, dims[b.source], dims[b.target])
+        for word, c in combo:
+            acc = acc.add(product(word).scale(c))
+        action[i] = acc
+    return RightModule(algebra, dims, action)
+
+
 def simple_module(algebra: Algebra, vertex: str) -> RightModule:
     v = algebra.vertex_index(vertex)
     dims = [1 if u == v else 0 for u in range(algebra.n_vertices)]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Algebra, corner_algebra, quotient_by_idempotent_ideal
 from .bimodules import (
+    TensorQuotient,
     algebra_as_bimodule,
     hom_from_bimodule,
     left_module_over_op,
@@ -116,8 +117,7 @@ class Recollement:
             self._require(m, self.A)
             out = hom_from_bimodule(self.abar_Abar_A, m)
         elif kind == J_LOWER:
-            self._require(m, self.Atilde)
-            out = tensor_with_bimodule(m, self.eps_A)
+            out = self.j_lower_quotient(m).module
         elif kind == J_UPPER_STAR:
             self._require(m, self.A)
             out = self._corner_restrict(m)
@@ -128,6 +128,16 @@ class Recollement:
             raise RecollementError(f"unknown recollement functor {kind!r}")
         self._memo[key] = out
         return out
+
+    def j_lower_quotient(self, m: RightModule) -> TensorQuotient:
+        """The tensor quotient behind j_!(m), kept in the functor memo: the
+        maps j_! induces are read off the same quotient."""
+        key = ("j_! quotient", m.fingerprint)
+        hit = self._memo.get(key)
+        if hit is None:
+            self._require(m, self.Atilde)
+            hit = self._memo[key] = tensor_quotient(m, self.eps_A)
+        return hit
 
     def _require(self, m: RightModule, alg: Algebra) -> None:
         if not m.algebra.same_as(alg):
@@ -328,15 +338,9 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     # certificate soundness: under the i^* certificate j_! must carry short
     # exact sequences to short exact sequences
     if rec.istar_exact:
-        # each module's tensor quotient is computed once for this check: the
-        # inclusion and the projection of a sample share its middle term
-        quotients: dict = {}
-
-        def quotient(mod: RightModule):
-            if mod.fingerprint not in quotients:
-                quotients[mod.fingerprint] = tensor_quotient(mod, rec.eps_A)
-            return quotients[mod.fingerprint]
-
+        # tensor quotients come from the functor memo: j_!(n) above built the
+        # middle term's, which the inclusion and the projection share
+        quotient = rec.j_lower_quotient
         for k, n in enumerate(samples_til):
             if n.is_zero:
                 continue

@@ -10,7 +10,7 @@ from exrep.algebra import (
     radical_power_zero_exponent,
     verify_algebra_axioms,
 )
-from exrep.fields import RATIONALS
+from exrep.fields import RATIONALS, FieldSpec
 from exrep.fileio import parse_algebra_file
 from exrep.goldens import fixture_text
 from exrep.quiver import Arrow, Quiver, QuiverError, RelationExpr
@@ -213,3 +213,72 @@ def test_radical_generators_of_corners_can_have_degree_two(a3, cycle3_ab):
     assert sorted(corner.basis[i].degree for i in gens) == [1, 2]
     (rest,) = [i for i in corner.radical_indices if i not in gens]
     assert corner.mult(*gens) == {rest: corner.field.one()}
+
+
+def _word_value(alg, word):
+    one = alg.field.one()
+    value = {word[0]: one}
+    for g in word[1:]:
+        value = alg.mult_vec(value, {g: one})
+    return value
+
+
+def _anticommutative_square(field):
+    quiver = Quiver(
+        ("1", "2", "3", "4"),
+        (Arrow("a", "1", "2"), Arrow("b", "2", "4"), Arrow("c", "1", "3"), Arrow("d", "3", "4")),
+    )
+    # a*b + 2 c*d = 0, so one of the two paths is -2 (or -1/2) times the other
+    rel = RelationExpr(((None, ("a", "b")), (field.from_int(2), ("c", "d"))))
+    return build_algebra(quiver, [rel], field, name="square")
+
+
+def test_radical_words_rebuild_every_radical_element(a3, a3_ab, cycle3, cycle3_ab, a42):
+    algebras = [_anticommutative_square(RATIONALS), _anticommutative_square(FieldSpec(5))]
+    algebras.append(_rescaled(a3, next(i for i in a3.radical_indices if a3.basis[i].degree == 2), RATIONALS.from_int(3)))
+    for base in (a3, a3_ab, cycle3, cycle3_ab, a42):
+        algebras += [base, opposite_algebra(base)[0]]
+        for eps in (["1"], ["2"], ["1", "3"], ["2", "3"]):
+            algebras += [corner_algebra(base, eps)[0], quotient_by_idempotent_ideal(base, eps)[0]]
+    for alg in algebras:
+        f = alg.field
+        words = alg.radical_words
+        assert sorted(words) == list(alg.radical_indices), alg.name
+        for g in alg.radical_generators:
+            assert words[g] == (((g,), f.one()),), alg.name
+        for k, combo in words.items():
+            total: dict = {}
+            for word, c in combo:
+                assert all(w in alg.radical_generators for w in word)
+                for i, x in _word_value(alg, word).items():
+                    total[i] = f.add(total.get(i, f.zero()), f.mul(c, x))
+            assert {i: x for i, x in total.items() if x != 0} == {k: f.one()}, (alg.name, k)
+
+
+def _rescaled(alg, k, s):
+    """The same algebra on the basis with b_k replaced by s * b_k."""
+    f = alg.field
+
+    def factor(i):
+        return s if i == k else f.one()
+
+    table = [
+        [
+            {m: f.div(f.mul(f.mul(c, factor(i)), factor(j)), factor(m)) for m, c in alg.mult(i, j).items()}
+            for j in range(alg.dim)
+        ]
+        for i in range(alg.dim)
+    ]
+    return Algebra(f, alg.vertices, alg.basis, table, name=f"{alg.name}.rescaled")
+
+
+def test_radical_words_carry_coefficients(a3):
+    # with the basis element alpha*beta replaced by twice itself, the
+    # product of the generators is half the basis element, so the word
+    # carries the coefficient 2
+    k = next(i for i in a3.radical_indices if a3.basis[i].degree == 2)
+    alg = _rescaled(a3, k, a3.field.from_int(2))
+    assert verify_algebra_axioms(alg) == []
+    alpha, beta = alg.radical_generators
+    assert alg.radical_words[k] == (((alpha, beta), 2),)
+    assert _word_value(alg, (alpha, beta)) == {k: alg.field.from_int(1) / 2}

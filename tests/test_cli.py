@@ -194,6 +194,14 @@ def test_enumerate_budget_error(capsys):
     assert code == 1
 
 
+def test_enumerate_ces_budget_error(capsys):
+    # a search cut by the budget is an incomplete computation, not a negative verdict
+    code, out, _ = run(capsys, "--json", "enumerate", "ces", str(FIXDIR / "a3.alg"), "--budget", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error" and payload["complete"] is False
+
+
 def test_enumerate_json_deterministic(capsys):
     args = ("--json", "enumerate", "ces", str(FIXDIR / "a42.alg"))
     _, out1, _ = run(capsys, *args)

@@ -112,9 +112,11 @@ def test_laws_clean_on_a42(a42):
 
 
 def test_law_checker_computes_each_tensor_quotient_once(a3, monkeypatch):
-    """Under the i^* certificate, the inclusion and the projection of a sample
-    share their middle term: its tensor quotient is computed once, and the
-    induced maps equal the ones computed from scratch."""
+    """Under the i^* certificate, j_!(n) and the maps j_! induces on a
+    sample's inclusion and projection share tensor quotients: each module's
+    quotient by each bimodule is computed once over the whole law check, and
+    the induced maps equal the ones computed from scratch."""
+    import exrep.bimodules as bimodules
     import exrep.recollements as recollements
     from exrep.bimodules import tensor_quotient, tensor_with_bimodule_map
 
@@ -123,7 +125,7 @@ def test_law_checker_computes_each_tensor_quotient_once(a3, monkeypatch):
     seen, maps = [], []
 
     def counting(m, x):
-        seen.append(m.fingerprint)
+        seen.append((m.fingerprint, x.name))
         return tensor_quotient(m, x)
 
     def checked_map(fmap, x, source, target):
@@ -131,11 +133,15 @@ def test_law_checker_computes_each_tensor_quotient_once(a3, monkeypatch):
         maps.append((fmap, out))
         return out
 
+    monkeypatch.setattr(bimodules, "tensor_quotient", counting)
     monkeypatch.setattr(recollements, "tensor_quotient", counting)
     monkeypatch.setattr(recollements, "tensor_with_bimodule_map", checked_map)
     rep = verify_recollement_laws(rec, thins(a3), seed=11)
     assert rep.ok
-    assert seen and len(seen) == len(set(seen))
+    assert len(seen) == len(set(seen))
+    # over the one-vertex corner the j_! arguments are 0 and S(3); the
+    # exactness check reuses both quotients that j_! built
+    assert sum(1 for _, name in seen if name == rec.eps_A.name) == 2
     assert len(maps) == 2 * sum(1 for law in rep.checked if law == "j_! exact (i^* exact)")
     for fmap, out in maps:
         fresh = tensor_with_bimodule_map(fmap, rec.eps_A)
