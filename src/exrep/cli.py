@@ -40,6 +40,7 @@ from .modules import (
     minimal_resolution,
     module_from_arrow_maps,
 )
+from .quiver import QuiverError
 from .recollements import RECOLLEMENT_FUNCTORS, build_recollement, verify_recollement_laws
 from .split_extensions import SPLIT_FUNCTORS, SplitExtensionError, build_split_extension
 
@@ -79,12 +80,17 @@ def resolve_module(algebra, spec: str, base: Path | None = None):
         raise CliError(f"module {mf.name} is declared over {mf.algebra_name}, not {algebra.name}")
     if algebra.quiver is None:
         raise CliError("module files need an algebra with declared arrows")
+    if len(mf.dims) != algebra.n_vertices:
+        raise ParseError(f"dim line has {len(mf.dims)} entries, {algebra.name} has {algebra.n_vertices} vertices", mf.dim_line)
     arrow_maps = {}
     for arrow, rows in mf.arrow_maps.items():
-        ai = algebra.quiver.arrow_index(arrow)
-        a = algebra.quiver.arrows[ai]
+        line = mf.map_lines[arrow]
+        try:
+            a = algebra.quiver.arrows[algebra.quiver.arrow_index(arrow)]
+        except QuiverError as e:
+            raise ParseError(f"{e} in {algebra.name}", line) from None
         s, t = algebra.vertex_index(a.source), algebra.vertex_index(a.target)
-        arrow_maps[arrow] = matrix_from_literal(algebra.field, rows, mf.dims[s], mf.dims[t])
+        arrow_maps[arrow] = matrix_from_literal(algebra.field, rows, mf.dims[s], mf.dims[t], line)
     return module_from_arrow_maps(algebra, mf.dims, arrow_maps)
 
 

@@ -156,13 +156,17 @@ class ModuleFile:
     algebra_name: str
     dims: tuple[int, ...]
     arrow_maps: dict[str, list[list]]  # arrow name -> rows of rational/int literals (unparsed strings)
+    dim_line: int
+    map_lines: dict[str, int]  # arrow name -> line of its map
 
 
 def parse_module_file(text: str) -> ModuleFile:
     name = None
     algebra_name = None
     dims: tuple[int, ...] | None = None
+    dim_line = 0
     maps: dict[str, list[list[str]]] = {}
+    map_lines: dict[str, int] = {}
     saw_end = False
     for lineno, body in _logical_lines(text):
         if saw_end:
@@ -180,6 +184,7 @@ def parse_module_file(text: str) -> ModuleFile:
                 raise ParseError("dim line must hold integers", lineno) from None
             if any(d < 0 for d in dims):
                 raise ParseError("negative dimension", lineno)
+            dim_line = lineno
         elif head == "map":
             if len(words) < 3:
                 raise ParseError("expected: map <arrow> [[...], ...]", lineno)
@@ -187,6 +192,7 @@ def parse_module_file(text: str) -> ModuleFile:
             if arrow in maps:
                 raise ParseError(f"duplicate map for arrow {arrow!r}", lineno)
             maps[arrow] = _parse_matrix_literal(body.split(None, 2)[2], lineno)
+            map_lines[arrow] = lineno
         elif head == "end":
             saw_end = True
         else:
@@ -197,7 +203,7 @@ def parse_module_file(text: str) -> ModuleFile:
         raise ParseError("missing 'dim' line")
     if not saw_end:
         raise ParseError("missing 'end'")
-    return ModuleFile(name, algebra_name, dims, maps)
+    return ModuleFile(name, algebra_name, dims, maps, dim_line, map_lines)
 
 
 def _parse_matrix_literal(text: str, lineno: int) -> list[list[str]]:

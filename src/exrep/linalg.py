@@ -7,6 +7,10 @@ composition in the algebra layer.
 The kernels read `field.p` once and then work natively: `Fraction`
 arithmetic over Q, `int` arithmetic reduced `% p` over F_p.  Entries stay
 canonical: a `Fraction` over Q, an int in [0, p) over F_p.
+
+There is one elimination, `rref`, with no transform.  Kernels are read off
+the free columns of the reduced system, written with its unknowns in
+reverse order so that those columns give the canonical basis directly.
 """
 
 from __future__ import annotations
@@ -192,22 +196,11 @@ def block_diag(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
     return out
 
 
-def rref(m: Matrix, with_transform: bool = False):
-    """Reduced row echelon form.
-
-    Returns (R, pivots) or (R, pivots, U) with U.m = R and U invertible.  The
-    transform rides along as identity columns appended to m, so it undergoes
-    exactly the row operations that reduce m.
-    """
+def rref(m: Matrix):
+    """Reduced row echelon form: (R, pivots), R the same shape as m."""
     p = m.field.p
     nrows, ncols = m.nrows, m.ncols
-    if with_transform:
-        one, zero = (Q_ONE, Q_ZERO) if p is None else (1, 0)
-        work = [list(r) + [zero] * nrows for r in m.rows]
-        for i, row in enumerate(work):
-            row[ncols + i] = one
-    else:
-        work = [list(r) for r in m.rows]
+    work = [list(r) for r in m.rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -237,11 +230,7 @@ def rref(m: Matrix, with_transform: bool = False):
                     work[i] = [(x - factor * y) % p for x, y in zip(wi, prow)]
         pivots.append(col)
         r += 1
-    if not with_transform:
-        return Matrix._adopt(m.field, work, nrows, ncols), pivots
-    R = Matrix._adopt(m.field, [row[:ncols] for row in work], nrows, ncols)
-    U = Matrix._adopt(m.field, [row[ncols:] for row in work], nrows, nrows)
-    return R, pivots, U
+    return Matrix._adopt(m.field, work, nrows, ncols), pivots
 
 
 @dataclass(frozen=True)
@@ -317,55 +306,95 @@ class Subspace:
         return Subspace.from_rows(self.field, self.ambient, self.basis.rows + other.basis.rows)
 
 
+def _free_column_kernel(field: FieldSpec, rows: list[list], pivots: list[int], n: int) -> Subspace:
+    """The kernel read off the first n columns of an RREF whose columns list
+    the unknowns x_0..x_{n-1} last-first (column c holds x_{n-1-c}).
+
+    Free column c gives x_{n-1-c} = 1, the other free unknowns 0 and each
+    pivot unknown the negated entry of its row in column c.  Only pivots left
+    of c touch it, so in the original order the vector leads with its 1 and
+    vanishes on the other leads: the free-column vectors, taken from the
+    right, are already the canonical basis of the kernel.
+    """
+    p = field.p
+    zero, one = (Q_ZERO, Q_ONE) if p is None else (0, 1)
+    pivot_set = set(pivots)
+    basis = []
+    leads = []
+    for c in range(n - 1, -1, -1):
+        if c in pivot_set:
+            continue
+        v = [zero] * n
+        v[n - 1 - c] = one
+        for i, pc in enumerate(pivots):
+            if pc > c:
+                break
+            y = rows[i][c]
+            if y:
+                v[n - 1 - pc] = -y if p is None else p - y
+        basis.append(v)
+        leads.append(n - 1 - c)
+    return Subspace(n, Matrix._adopt(field, basis, len(basis), n), tuple(leads))
+
+
+def null_space(eqs: Matrix) -> Subspace:
+    """The solution space of a homogeneous system, canonical.
+
+    Each row of eqs is one equation over the unknowns x_0..x_{n-1}, n =
+    eqs.ncols, listed last-first: column c holds the coefficient of
+    x_{n-1-c}.  One transform-free elimination gives the basis.
+    """
+    R, piv = rref(eqs)
+    return _free_column_kernel(eqs.field, R.rows, piv, eqs.ncols)
+
+
+def left_kernel(m: Matrix) -> Subspace:
+    """The kernel {x : x.m = 0}, canonical: the system m^T x^T = 0, one
+    equation per column of m."""
+    n = m.nrows
+    rows = [[m.rows[i][j] for i in range(n - 1, -1, -1)] for j in range(m.ncols)]
+    return null_space(Matrix._adopt(m.field, rows, m.ncols, n))
+
+
+def matrix_rank(m: Matrix) -> int:
+    """Rank, reducing the orientation with fewer rows."""
+    return len(rref(m.transpose() if m.nrows > m.ncols else m)[1])
+
+
 def rank_kernel_image(m: Matrix) -> tuple[int, Subspace, Subspace]:
     """Rank, kernel {x : x.m = 0} and image (row space) of m.
 
     rank + dim(kernel) = nrows; both subspaces come back canonical.
     """
-    R, piv, U = rref(m, with_transform=True)
+    R, piv = rref(m)
     rank = len(piv)
     image = Subspace(m.ncols, Matrix._adopt(m.field, R.rows[:rank], rank, m.ncols), tuple(piv))
-    kernel = Subspace.from_rows(m.field, m.nrows, U.rows[rank:])
-    return rank, kernel, image
+    return rank, left_kernel(m), image
 
 
 def solve_right(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:
     """Solve x.a = b.  Returns (particular x, kernel of v |-> v.a) or None.
 
-    The full solution set of each row is (particular row) + kernel.
+    The full solution set of each row is (particular row) + kernel; the
+    particular row sets every free unknown to 0, so it is the solution when
+    the rows of a are independent.  Solved as a^T x^T = b^T, augmented by
+    b's rows: a pivot in an augmented column means no solution.
     """
     if a.ncols != b.ncols:
         raise LinalgError(f"solve_right: a has {a.ncols} columns, b has {b.ncols}")
     f = a.field
-    p = f.p
-    R, piv, U = rref(a, with_transform=True)
-    rank = len(piv)
-    # sparse views of the pivot rows of R and of their transform rows
-    steps = [
-        (col, [(j, y) for j, y in enumerate(R.rows[i]) if y], [(j, y) for j, y in enumerate(U.rows[i]) if y])
-        for i, col in enumerate(piv)
-    ]
-    zero = Q_ZERO if p is None else 0
-    sol_rows = []
-    for r in b.rows:
-        residual = list(r)
-        coeffs = [zero] * a.nrows
-        for col, rrow, urow in steps:
-            c = residual[col]
-            if c:
-                if p is None:
-                    for j, y in rrow:
-                        residual[j] -= c * y
-                else:
-                    for j, y in rrow:
-                        residual[j] = (residual[j] - c * y) % p
-                for j, y in urow:
-                    coeffs[j] += c * y
-        if any(residual):
-            return None
-        sol_rows.append(coeffs if p is None else [x % p for x in coeffs])
-    kernel = Subspace.from_rows(f, a.nrows, U.rows[rank:])
-    return Matrix._adopt(f, sol_rows, b.nrows, a.nrows), kernel
+    n = a.nrows
+    rows = [[a.rows[i][j] for i in range(n - 1, -1, -1)] + [r[j] for r in b.rows] for j in range(a.ncols)]
+    R, piv = rref(Matrix._adopt(f, rows, a.ncols, n + b.nrows))
+    if piv and piv[-1] >= n:
+        return None
+    zero = Q_ZERO if f.p is None else 0
+    sol_rows = [[zero] * n for _ in range(b.nrows)]
+    for i, c in enumerate(piv):
+        row = R.rows[i]
+        for k, sol in enumerate(sol_rows):
+            sol[n - 1 - c] = row[n + k]
+    return Matrix._adopt(f, sol_rows, b.nrows, n), _free_column_kernel(f, R.rows, piv, n)
 
 
 def quotient_with_section(field: FieldSpec, ambient: int, w: Subspace) -> tuple[Matrix, Matrix, int]:

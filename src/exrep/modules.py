@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .algebra import Algebra, opposite_algebra
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, block_diag, quotient_with_section, rank_kernel_image, solve_right
+from .linalg import Matrix, Subspace, block_diag, left_kernel, matrix_rank, null_space, quotient_with_section, solve_right
 
 
 class ModuleError(ValueError):
@@ -309,8 +309,9 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
     nilpotent (`verify_algebra_axioms`), so rad = G + rad^2 unrolls to rad
     being spanned by products of generators, and since M and N satisfy the
     module axioms, rho(xy) = rho(x).rho(y) carries intertwining from the
-    generators to every radical element.  Each map is still re-verified on
-    all radical basis elements.
+    generators to every radical element.  The system is reduced once and the
+    basis read from its free columns (`null_space`).  Each map is still
+    re-verified on all radical basis elements.
     """
     a = m.algebra
     if not a.same_as(n.algebra):
@@ -324,35 +325,32 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
         total += m.dims[v] * n.dims[v]
     if total == 0:
         return []
-    gens = a.radical_generators
-    n_eqs = 0
-    for i in gens:
-        b = a.basis[i]
-        n_eqs += m.dims[b.source] * n.dims[b.target]
-    E = Matrix.zeros(f, total, n_eqs)
-    eq = 0
-    for i in gens:
+    # one equation row per generator i and entry (p, q) of its block, over
+    # the unknowns last-first (`null_space`):
+    # sum_k rm[p][k] f_w[k][q] - sum_l f_u[p][l] rn[l][q] = 0
+    last = total - 1
+    zero = f.zero()
+    rows = []
+    for i in a.radical_generators:
         b = a.basis[i]
         u, w = b.source, b.target
-        rm = m.action[i]
-        rn = n.action[i]
+        rm = m.action[i].rows
+        rn = n.action[i].rows
+        du, dw = n.dims[u], n.dims[w]
         for p in range(m.dims[u]):
-            for q in range(n.dims[w]):
-                # sum_k rm[p][k] f_w[k][q] - sum_l f_u[p][l] rn[l][q] = 0
-                for k in range(m.dims[w]):
-                    c = rm.rows[p][k]
-                    if c != 0:
-                        E.rows[offsets[w] + k * n.dims[w] + q][eq] = f.add(
-                            E.rows[offsets[w] + k * n.dims[w] + q][eq], c
-                        )
-                for l in range(n.dims[u]):
-                    c = rn.rows[l][q]
-                    if c != 0:
-                        E.rows[offsets[u] + p * n.dims[u] + l][eq] = f.sub(
-                            E.rows[offsets[u] + p * n.dims[u] + l][eq], c
-                        )
-                eq += 1
-    _, kernel, _ = rank_kernel_image(E)
+            for q in range(dw):
+                eq = [zero] * total
+                for k, c in enumerate(rm[p]):
+                    if c:
+                        col = last - (offsets[w] + k * dw + q)
+                        eq[col] = f.add(eq[col], c)
+                for l in range(du):
+                    c = rn[l][q]
+                    if c:
+                        col = last - (offsets[u] + p * du + l)
+                        eq[col] = f.sub(eq[col], c)
+                rows.append(eq)
+    kernel = null_space(Matrix._adopt(f, rows, len(rows), total))
     maps = []
     for row in kernel.basis.rows:
         mats = []
@@ -504,11 +502,7 @@ def quotient_module(m: RightModule, spaces: list[Subspace]) -> tuple[RightModule
 
 
 def kernel_of(fmap: ModuleMap) -> tuple[RightModule, ModuleMap]:
-    spaces = []
-    for v in range(fmap.source.algebra.n_vertices):
-        _, ker, _ = rank_kernel_image(fmap.mats[v])
-        spaces.append(ker)
-    return submodule(fmap.source, spaces)
+    return submodule(fmap.source, [left_kernel(mat) for mat in fmap.mats])
 
 
 def generated_submodule(m: RightModule, seeds: dict[int, list[list]]) -> list[Subspace]:
@@ -586,8 +580,7 @@ def top_and_cover(m: RightModule) -> tuple[dict[str, int], RightModule, ModuleMa
         mats.append(mat)
     cover_map = ModuleMap(cover, m, mats)
     for v in range(a.n_vertices):
-        rank, _, _ = rank_kernel_image(cover_map.mats[v])
-        if rank != m.dims[v]:
+        if matrix_rank(cover_map.mats[v]) != m.dims[v]:
             raise ModuleError("projective cover map failed to be surjective")
     return top, cover, cover_map
 
@@ -812,8 +805,7 @@ def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int
     width = len(rows[0])
     if width == 0:
         return dim_n, 0
-    rank, _, _ = rank_kernel_image(Matrix(target.field, rows, dim_n, width))
-    return dim_n, rank
+    return dim_n, matrix_rank(Matrix(target.field, rows, dim_n, width))
 
 
 def _ext_from_tower(res: Resolution, target: RightModule, limit: int) -> list[int]:

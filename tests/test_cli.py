@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from exrep.cli import main
 
 FIXDIR = Path(__file__).resolve().parent.parent / "src" / "exrep" / "fixtures"
@@ -226,6 +228,27 @@ def test_module_over_wrong_algebra_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "hom", str(FIXDIR / "a3.alg"), str(mod), "simple:1")
     assert code == 1
     assert "cycle3" in err
+
+
+@pytest.mark.parametrize(
+    "body,line,message",
+    [
+        ("dim 1 1\n", 2, "dim line has 2 entries, a3 has 3 vertices"),
+        ("dim 1 1 0 0\n", 2, "dim line has 4 entries"),
+        ("dim 1 1 0\n# no such arrow in a3\nmap gamma [[1]]\n", 4, "unknown arrow 'gamma' in a3"),
+        ("dim 1 1 0\nmap alpha [[1, 1]]\n", 3, "matrix literal is not 1x1"),
+    ],
+)
+def test_bad_module_file_names_its_line(tmp_path, capsys, body, line, message):
+    mod = tmp_path / "bad.mod"
+    mod.write_text("module m over a3\n" + body + "end\n")
+    code, out, err = run(capsys, "hom", str(FIXDIR / "a3.alg"), str(mod), "simple:1")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and message in err and f"(line {line})" in err
+    code, out, _ = run(capsys, "--json", "hom", str(FIXDIR / "a3.alg"), str(mod), "simple:1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error" and payload["error"].endswith(f"(line {line})")
 
 
 def test_reproduce_json_deterministic(capsys):

@@ -1,15 +1,27 @@
 """Differential tests: the field-specialized kernels of exrep.linalg against a
 reference copy of the generic kernels they replaced, which dispatch every
 entry operation through FieldSpec.  Results must agree exactly: rows,
-pivots, transforms and the Python type of every entry."""
+pivots and the Python type of every entry.
 
+Kernels, ranks and solutions are now read from the free columns of one
+transform-free elimination; the reference reads them, as the code it
+replaced did, from an RREF with an appended transform.  `hom_basis` is
+compared map for map with a reference copy of its transform-based form."""
+
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_modules import conjugated_sum
 
+from exrep.algebra import corner_algebra, quotient_by_idempotent_ideal
 from exrep.fields import FieldSpec
-from exrep.linalg import Matrix, Subspace, rref, solve_right
+from exrep.goldens import bundled_algebra
+from exrep.linalg import Matrix, Subspace, left_kernel, matrix_rank, rank_kernel_image, rref, solve_right
+from exrep.modules import ModuleMap, hom_basis
 
 FIELDS = (FieldSpec(None), FieldSpec(2), FieldSpec(3), FieldSpec(5))
 
@@ -90,6 +102,77 @@ def ref_det(m: Matrix):
     return det
 
 
+def ref_canonical_rows(f: FieldSpec, rows: list[list], ambient: int) -> tuple[list[list], list[int]]:
+    """The canonical (reduced echelon) basis of the span of rows."""
+    if not rows:
+        return [], []
+    R, piv = ref_rref(Matrix(f, rows, len(rows), ambient))
+    return R[: len(piv)], piv
+
+
+def ref_rank_kernel_image(m: Matrix):
+    """Rank, kernel rows and pivots, image rows and pivots, the kernel read
+    from the rows of the transform below the rank."""
+    R, piv, U = ref_rref(m, with_transform=True)
+    rank = len(piv)
+    kernel, kpiv = ref_canonical_rows(m.field, U[rank:], m.nrows)
+    return rank, kernel, kpiv, R[:rank], piv
+
+
+def ref_solve_right(a: Matrix, b: Matrix):
+    """x.a = b from the transform of a: each pivot column of the residual
+    adds its transform row to the coefficients."""
+    f = a.field
+    R, piv, U = ref_rref(a, with_transform=True)
+    sol = []
+    for r in b.rows:
+        residual = list(r)
+        coeffs = [f.zero()] * a.nrows
+        for i, col in enumerate(piv):
+            c = residual[col]
+            if c != 0:
+                residual = [f.sub(x, f.mul(c, y)) for x, y in zip(residual, R[i])]
+                coeffs = [f.add(x, f.mul(c, y)) for x, y in zip(coeffs, U[i])]
+        if any(x != 0 for x in residual):
+            return None
+        sol.append(coeffs)
+    kernel, kpiv = ref_canonical_rows(f, U[len(piv):], a.nrows)
+    return sol, kernel, kpiv
+
+
+def ref_hom_basis(m, n) -> list[list]:
+    """Hom(M, N) as the parent wrote it: the intertwining system E with one
+    column per equation over the radical generators, reduced with its
+    transform appended, the kernel read from the transform's last rows."""
+    a = m.algebra
+    f = a.field
+    offsets, total = [], 0
+    for v in range(a.n_vertices):
+        offsets.append(total)
+        total += m.dims[v] * n.dims[v]
+    if total == 0:
+        return []
+    columns = []
+    for i in a.radical_generators:
+        b = a.basis[i]
+        u, w = b.source, b.target
+        rm, rn = m.action[i], n.action[i]
+        for p in range(m.dims[u]):
+            for q in range(n.dims[w]):
+                col = [f.zero()] * total
+                for k in range(m.dims[w]):
+                    c = rm.rows[p][k]
+                    if c != 0:
+                        col[offsets[w] + k * n.dims[w] + q] = f.add(col[offsets[w] + k * n.dims[w] + q], c)
+                for l in range(n.dims[u]):
+                    c = rn.rows[l][q]
+                    if c != 0:
+                        col[offsets[u] + p * n.dims[u] + l] = f.sub(col[offsets[u] + p * n.dims[u] + l], c)
+                columns.append(col)
+    E = Matrix(f, [[col[r] for col in columns] for r in range(total)], total, len(columns))
+    return ref_rank_kernel_image(E)[1]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -148,15 +231,102 @@ def test_rref_matches_reference(m):
     assert same(R.rows, want_R, m.field)
 
 
-@given(matrices())
-@settings(max_examples=150, deadline=None)
-def test_rref_transform_matches_reference(m):
-    R, piv, U = rref(m, with_transform=True)
-    want_R, want_piv, want_U = ref_rref(m, with_transform=True)
-    assert piv == want_piv
-    assert same(R.rows, want_R, m.field)
-    assert (U.nrows, U.ncols) == (m.nrows, m.nrows)
-    assert same(U.rows, want_U, m.field)
+@st.composite
+def low_rank(draw):
+    """x.y with inner dimension below both outer ones: rank-deficient."""
+    field = draw(st.sampled_from(FIELDS))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n, m) - 1))
+    return draw(matrices(field, n, k)).mul(draw(matrices(field, k, m)))
+
+
+EDGE_SHAPES = [Matrix.zeros(f, n, m) for f in FIELDS for n, m in ((0, 3), (3, 0), (0, 0))]
+
+
+def check_rank_kernel_image(m: Matrix) -> None:
+    rank, ker, img = rank_kernel_image(m)
+    want_rank, want_ker, want_kpiv, want_img, want_ipiv = ref_rank_kernel_image(m)
+    assert rank == want_rank == matrix_rank(m)
+    assert (ker.ambient, img.ambient) == (m.nrows, m.ncols)
+    assert list(ker.pivots) == want_kpiv and same(ker.basis.rows, want_ker, m.field)
+    assert list(img.pivots) == want_ipiv and same(img.basis.rows, want_img, m.field)
+    assert left_kernel(m) == ker
+
+
+@given(st.one_of(matrices(), low_rank()))
+@settings(max_examples=200, deadline=None)
+def test_rank_kernel_image_matches_reference_transform(m):
+    check_rank_kernel_image(m)
+
+
+@pytest.mark.parametrize("m", EDGE_SHAPES, ids=repr)
+def test_kernels_of_empty_shapes(m):
+    check_rank_kernel_image(m)
+    assert left_kernel(m) == Subspace.full(m.field, m.nrows)
+
+
+@st.composite
+def systems(draw):
+    """(a, b): b = x.a (solvable) or a random b (usually not), a often of
+    deficient rank, so that the kernel is nonzero."""
+    a = draw(st.one_of(matrices(), low_rank()))
+    k = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return a, draw(matrices(a.field, k, a.nrows)).mul(a)
+    return a, draw(matrices(a.field, k, a.ncols))
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_right_matches_reference_transform(ab):
+    a, b = ab
+    f = a.field
+    got, want = solve_right(a, b), ref_solve_right(a, b)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    sol, ker = got
+    want_sol, want_ker, want_kpiv = want
+    assert list(ker.pivots) == want_kpiv and same(ker.basis.rows, want_ker, f)
+    assert (sol.nrows, sol.ncols) == (b.nrows, a.nrows)
+    assert all(canonical(f, e) for r in sol.rows for e in r)
+    # the two particular solutions differ by a kernel vector
+    for x, y in zip(sol.rows, want_sol):
+        assert ker.contains_vector([f.sub(s, t) for s, t in zip(x, y)])
+    if ker.dim == 0:  # independent rows: the solution is unique
+        assert same(sol.rows, want_sol, f)
+
+
+def _hom_cases():
+    out = []
+    for name in ("a3", "a3_ab", "a42", "cycle3", "cycle3_ab"):
+        base = bundled_algebra(name)
+        out.append((name, base))
+        for eps in (("1",), ("1", "3"), ("2", "3")):
+            tag = ",".join(eps)
+            out.append((f"{name}/corner({tag})", corner_algebra(base, eps)[0]))
+            out.append((f"{name}/quotient({tag})", quotient_by_idempotent_ideal(base, eps)[0]))
+    return out
+
+
+HOM_CASES = _hom_cases()
+
+
+@pytest.mark.parametrize("name,algebra", HOM_CASES, ids=[c[0] for c in HOM_CASES])
+def test_hom_basis_matches_transform_reference(name, algebra):
+    rng = random.Random(name)
+    kinds = [f"{k}:{v}" for k in ("simple", "proj", "inj") for v in algebra.vertices]
+    mods = [conjugated_sum(algebra, rng.choices(kinds, k=rng.randint(1, 3)), rng) for _ in range(4)]
+    nonzero = 0
+    for m, n in itertools.product(mods, repeat=2):
+        got = hom_basis(m, n)
+        want = ref_hom_basis(m, n)
+        assert len(got) == len(want)
+        for h, row in zip(got, want):
+            assert isinstance(h, ModuleMap) and h.commutes()
+            assert same([h.flatten()], [row], algebra.field)
+        nonzero += bool(got)
+    assert nonzero
 
 
 @given(products())
