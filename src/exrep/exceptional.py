@@ -419,12 +419,9 @@ def _refield(algebra: Algebra, fld: FieldSpec) -> Algebra:
 
 
 def _coerce_scalar(src: FieldSpec, dst: FieldSpec, c):
-    from fractions import Fraction
-
     if src.is_rational:
-        fr = Fraction(c)
-        return dst.div(dst.from_int(fr.numerator), dst.from_int(fr.denominator))
-    return dst.from_int(int(c))
+        return dst.div(dst.from_int(c.numerator), dst.from_int(c.denominator))
+    return dst.from_int(c)
 
 
 def _lift_module(m: RightModule, target: Algebra) -> RightModule:

@@ -1,8 +1,11 @@
 """Ground fields for all computations: the rationals or a prime field F_p.
 
 Everything downstream is exact; there is no floating point anywhere in the
-package.  Rational entries are `fractions.Fraction` (always in lowest terms),
-prime-field entries are plain ints in the range 0..p-1.
+package.  Each rational has exactly one form: a plain int when it is
+integral, a `fractions.Fraction` with denominator > 1 (in lowest terms)
+otherwise.  `==`, `hash` and `str` agree between the two types, so keys and
+printed text do not depend on it; the int form keeps integral work off
+`Fraction` arithmetic.  Prime-field entries are plain ints in 0..p-1.
 """
 
 from __future__ import annotations
@@ -10,9 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Fractions are immutable, so one instance of each constant serves every caller
-Q_ZERO = Fraction(0)
-Q_ONE = Fraction(1)
+
+def q_canon(x):
+    """The canonical form of a rational value: int when integral."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def q_inv(a):
+    """1/a for a nonzero canonical rational, canonical (1 / int is a float)."""
+    if type(a) is int:
+        return a if a == 1 or a == -1 else Fraction(1, a)
+    return q_canon(1 / a)
 
 
 class FieldError(ValueError):
@@ -47,22 +60,22 @@ class FieldSpec:
         return self.p is None
 
     def zero(self):
-        return Q_ZERO if self.p is None else 0
+        return 0
 
     def one(self):
-        return Q_ONE if self.p is None else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return int(n) if self.p is None else n % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return q_canon(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return q_canon(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return q_canon(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
@@ -70,7 +83,7 @@ class FieldSpec:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return q_inv(a) if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -92,7 +105,7 @@ class FieldSpec:
         if den == 0:
             raise FieldError(f"zero denominator in {text!r}")
         if self.p is None:
-            return Fraction(num, den)
+            return q_canon(Fraction(num, den))
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def fmt(self, a) -> str:

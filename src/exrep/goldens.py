@@ -29,11 +29,11 @@ from .modules import (
     RightModule,
     direct_sum,
     ext_dims,
-    ext_dims_from_tower_padded,
     hom_dim,
     iso_test,
     make_module,
     minimal_resolution,
+    padded_resolution,
     thin_module,
     top_and_cover,
 )
@@ -253,8 +253,7 @@ def criterion_projective_extension() -> CriterionResult:
     )
 
 
-def _random_fixture_modules(algebra: Algebra, rng: random.Random, count: int) -> list[RightModule]:
-    pool = list(_thin_references(algebra).values())
+def _random_fixture_modules(pool: list[RightModule], rng: random.Random, count: int) -> list[RightModule]:
     out = []
     for _ in range(count):
         k = rng.randint(1, 3)
@@ -266,6 +265,12 @@ def criterion_property_suite() -> CriterionResult:
     key = "functor-law-property-suite"
     rng = random.Random(20240)
     problems = []
+    pools: dict[Algebra, list[RightModule]] = {}
+
+    def thins_of(alg: Algebra) -> list[RightModule]:
+        if alg not in pools:
+            pools[alg] = list(_thin_references(alg).values())
+        return pools[alg]
 
     a3 = bundled_algebra("a3")
     cycle3 = bundled_algebra("cycle3")
@@ -280,7 +285,7 @@ def criterion_property_suite() -> CriterionResult:
     checked = 0
     for se in extensions:
         regular = algebra_as_bimodule(se.A, se.A, se.A, name="A as (A,A)")
-        for m in _random_fixture_modules(se.A, rng, 18):
+        for m in _random_fixture_modules(thins_of(se.A), rng, 18):
             if not iso_test(tensor_with_bimodule(m, regular), m).isomorphic:
                 problems.append(f"(i) unit law M x A fails over {se.A.name}")
             if not iso_test(hom_from_bimodule(regular, m), m).isomorphic:
@@ -301,8 +306,8 @@ def criterion_property_suite() -> CriterionResult:
     pairs = 0
     for se in extensions:
         for _ in range(9):
-            m = _random_fixture_modules(se.A, rng, 1)[0]
-            n = _random_fixture_modules(se.R, rng, 1)[0]
+            m = _random_fixture_modules(thins_of(se.A), rng, 1)[0]
+            n = _random_fixture_modules(thins_of(se.R), rng, 1)[0]
             res_sigma = hom_from_bimodule(se.R_as_A_R, n)
             if hom_dim(se.apply(TENSOR_UP, m), n) != hom_dim(m, res_sigma):
                 problems.append(f"(ii) adjunction (x R) fails over {se.R.name}")
@@ -323,7 +328,7 @@ def criterion_property_suite() -> CriterionResult:
     a42 = bundled_algebra("a42")
     law_pairs = 0
     for alg in (a3, a42):
-        thins = list(_thin_references(alg).values())
+        thins = thins_of(alg)
         for eps in (["1"], ["2"], ["3"], ["2", "3"]):
             rec = build_recollement(alg, eps)
             rep = verify_recollement_laws(rec, thins, seed=7)
@@ -336,7 +341,7 @@ def criterion_property_suite() -> CriterionResult:
         problems.append(f"(ii) only {pairs + law_pairs} adjunction instances checked")
 
     # (iv) hereditary Euler-form oracle on all thin pairs over the path algebra
-    thins3 = list(_thin_references(a3).values())
+    thins3 = thins_of(a3)
     for m in thins3:
         src = Resolution(m)
         for n in thins3:
@@ -349,13 +354,13 @@ def criterion_property_suite() -> CriterionResult:
 
     # (v) minimal vs padded resolutions agree on Ext
     for alg in (a3, bundled_algebra("a3_ab"), cycle3, c3ab, a42):
-        thins = list(_thin_references(alg).values())
         simples = [make_module(alg, f"simple:{v}") for v in alg.vertices]
-        for m in thins:
+        for m in thins_of(alg):
             src = Resolution(m)
+            padded_src = padded_resolution(m, alg.vertices[0])
             for n in simples:
                 minimal = src.ext(n, 4).dims
-                padded = ext_dims_from_tower_padded(m, n, 4, alg.vertices[0])
+                padded = padded_src.tower_dims(n, 4)
                 if minimal != padded:
                     problems.append(f"(v) padded disagreement over {alg.name}: {m.dims} vs {n.dims}")
     ok = not problems

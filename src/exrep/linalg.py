@@ -4,9 +4,12 @@ Row-vector convention throughout: vectors are rows and linear maps act on the
 right, v |-> v.M, so composition of maps reads left to right, matching path
 composition in the algebra layer.
 
-The kernels read `field.p` once and then work natively: `Fraction`
+The kernels read `field.p` once and then work natively: int and `Fraction`
 arithmetic over Q, `int` arithmetic reduced `% p` over F_p.  Entries stay
-canonical: a `Fraction` over Q, an int in [0, p) over F_p.
+canonical (`fields.q_canon`): over Q an int when integral and a `Fraction`
+only otherwise, over F_p an int in [0, p).  So integral work stays on
+machine ints until a pivot division makes a fraction, and a row is
+re-canonicalised only when a fraction took part in its update.
 
 There is one elimination, `rref`, with no transform.  Kernels are read off
 the free columns of the reduced system, written with its unknowns in
@@ -16,12 +19,49 @@ reverse order so that those columns give the canonical basis directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .fields import Q_ONE, Q_ZERO, FieldSpec
+from .fields import FieldSpec, q_canon, q_inv
 
 
 class LinalgError(ValueError):
     pass
+
+
+def _entry(p: int | None, x):
+    """A caller's entry, checked: canonical over Q, an int over F_p."""
+    if type(x) is int:
+        return x
+    if p is None and isinstance(x, Fraction):
+        return q_canon(x)
+    if isinstance(x, int):  # bool or another int subclass
+        return int(x)
+    raise LinalgError(f"matrix entry {x!r} is not an int{' or a Fraction' if p is None else ''}")
+
+
+def _canon_row(row: list) -> list:
+    return [x if type(x) is int else q_canon(x) for x in row]
+
+
+def _has_fraction(row: list) -> bool:
+    return not all(type(x) is int for x in row)
+
+
+def mul_rows(p: int | None, a: list[list], b: list[list], ncols: int) -> list[list]:
+    """The product of row lists a (n x k) and b (k x ncols): reduced over
+    F_p, but over Q (p None) an integral value may come back as a Fraction,
+    which `==` does not see.  `Matrix.mul` canonicalises it; the module
+    checks, which only compare, share it as it is."""
+    sparse = [[(j, y) for j, y in enumerate(rk) if y] for rk in b]
+    out = []
+    for ri in a:
+        acc = [0] * ncols
+        for x, rk in zip(ri, sparse):
+            if x:
+                for j, y in rk:
+                    acc[j] += x * y
+        out.append(acc if p is None else [x % p for x in acc])
+    return out
 
 
 class Matrix:
@@ -31,7 +71,8 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, rows, nrows: int | None = None, ncols: int | None = None):
         self.field = field
-        data = [list(r) for r in rows]
+        p = field.p
+        data = [[x if type(x) is int else _entry(p, x) for x in r] for r in rows]
         if nrows is None:
             nrows = len(data)
         if ncols is None:
@@ -54,8 +95,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = Q_ZERO if field.p is None else 0
-        return cls._adopt(field, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        return cls._adopt(field, [[0] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
@@ -104,25 +144,17 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LinalgError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         p = self.field.p
-        ncols = other.ncols
-        sparse = [[(j, b) for j, b in enumerate(rk) if b] for rk in other.rows]
-        zero = Q_ZERO if p is None else 0
-        out = []
-        for ri in self.rows:
-            acc = [zero] * ncols
-            for a, rk in zip(ri, sparse):
-                if a:
-                    for j, b in rk:
-                        acc[j] += a * b
-            out.append(acc if p is None else [x % p for x in acc])
-        return Matrix._adopt(self.field, out, self.nrows, ncols)
+        out = mul_rows(p, self.rows, other.rows, other.ncols)
+        if p is None:
+            out = [_canon_row(r) for r in out]
+        return Matrix._adopt(self.field, out, self.nrows, other.ncols)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinalgError("shape mismatch in add")
         p = self.field.p
         if p is None:
-            rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            rows = [_canon_row([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.rows, other.rows)]
         else:
             rows = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         return Matrix._adopt(self.field, rows, self.nrows, self.ncols)
@@ -133,7 +165,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         p = self.field.p
         if p is None:
-            rows = [[c * x for x in r] for r in self.rows]
+            rows = [_canon_row([c * x for x in r]) for r in self.rows]
         else:
             rows = [[c * x % p for x in r] for r in self.rows]
         return Matrix._adopt(self.field, rows, self.nrows, self.ncols)
@@ -147,11 +179,11 @@ class Matrix:
         p = self.field.p
         n = self.nrows
         work = [list(r) for r in self.rows]
-        det = Q_ONE if p is None else 1
+        det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if work[r][col]), None)
             if piv is None:
-                return Q_ZERO if p is None else 0
+                return 0
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
                 det = -det if p is None else -det % p
@@ -160,7 +192,7 @@ class Matrix:
             nz = [c for c in range(col + 1, n) if prow[c]]
             if p is None:
                 det *= lead
-                inv = 1 / lead
+                inv = q_inv(lead)
                 for r in range(col + 1, n):
                     wr = work[r]
                     if wr[col]:
@@ -176,7 +208,7 @@ class Matrix:
                         factor = wr[col] * inv % p
                         for c in nz:
                             wr[c] = (wr[c] - factor * prow[c]) % p
-        return det
+        return det if p is not None else q_canon(det)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in r) for r in self.rows)
@@ -197,10 +229,15 @@ def block_diag(field: FieldSpec, blocks: list[Matrix]) -> Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form: (R, pivots), R the same shape as m."""
+    """Reduced row echelon form: (R, pivots), R the same shape as m.
+
+    Over Q, frac[i] records whether row i holds a Fraction: an update that
+    no Fraction took part in stays on ints and needs no canonical pass.
+    """
     p = m.field.p
     nrows, ncols = m.nrows, m.ncols
     work = [list(r) for r in m.rows]
+    frac = [p is None and _has_fraction(r) for r in work]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -211,23 +248,31 @@ def rref(m: Matrix):
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
+            frac[r], frac[piv] = frac[piv], frac[r]
         prow = work[r]
         lead = prow[col]
         if lead != 1:
-            if p is None:
-                inv = 1 / lead
-                prow = work[r] = [x * inv for x in prow]
-            else:
+            if p is not None:
                 inv = pow(lead, -1, p)
                 prow = work[r] = [x * inv % p for x in prow]
+            elif lead == -1:
+                prow = work[r] = [-x for x in prow]
+            else:
+                inv = q_inv(lead)
+                prow = work[r] = _canon_row([x * inv for x in prow])
+                frac[r] = _has_fraction(prow)
+        pfrac = frac[r]
         for i in range(nrows):
             wi = work[i]
             factor = wi[col]
             if factor and i != r:
-                if p is None:
-                    work[i] = [x - factor * y for x, y in zip(wi, prow)]
-                else:
+                if p is not None:
                     work[i] = [(x - factor * y) % p for x, y in zip(wi, prow)]
+                elif pfrac or frac[i]:
+                    work[i] = _canon_row([x - factor * y for x, y in zip(wi, prow)])
+                    frac[i] = _has_fraction(work[i])
+                else:
+                    work[i] = [x - factor * y for x, y in zip(wi, prow)]
         pivots.append(col)
         r += 1
     return Matrix._adopt(m.field, work, nrows, ncols), pivots
@@ -284,7 +329,7 @@ class Subspace:
                     for j, y in enumerate(row):
                         if y:
                             v[j] = (v[j] - c * y) % p
-        return v
+        return v if p is not None else _canon_row(v)
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce_vector(vec))
@@ -317,15 +362,14 @@ def _free_column_kernel(field: FieldSpec, rows: list[list], pivots: list[int], n
     right, are already the canonical basis of the kernel.
     """
     p = field.p
-    zero, one = (Q_ZERO, Q_ONE) if p is None else (0, 1)
     pivot_set = set(pivots)
     basis = []
     leads = []
     for c in range(n - 1, -1, -1):
         if c in pivot_set:
             continue
-        v = [zero] * n
-        v[n - 1 - c] = one
+        v = [0] * n
+        v[n - 1 - c] = 1
         for i, pc in enumerate(pivots):
             if pc > c:
                 break
@@ -388,8 +432,7 @@ def solve_right(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:
     R, piv = rref(Matrix._adopt(f, rows, a.ncols, n + b.nrows))
     if piv and piv[-1] >= n:
         return None
-    zero = Q_ZERO if f.p is None else 0
-    sol_rows = [[zero] * n for _ in range(b.nrows)]
+    sol_rows = [[0] * n for _ in range(b.nrows)]
     for i, c in enumerate(piv):
         row = R.rows[i]
         for k, sol in enumerate(sol_rows):

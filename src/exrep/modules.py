@@ -11,12 +11,23 @@ minimal resolutions with periodicity certificates, and Ext dimensions.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Algebra, opposite_algebra
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, block_diag, left_kernel, matrix_rank, null_space, quotient_with_section, solve_right
+from .linalg import (
+    Matrix,
+    Subspace,
+    block_diag,
+    left_kernel,
+    matrix_rank,
+    mul_rows,
+    null_space,
+    quotient_with_section,
+    solve_right,
+)
 
 
 class ModuleError(ValueError):
@@ -68,20 +79,35 @@ class RightModule:
         return self.action[i]
 
     def violations(self) -> list[str]:
-        """All failures of rho(b).rho(b') = sum c_k rho(b_k) on composable pairs."""
+        """All failures of rho(b).rho(b') = sum c_k rho(b_k) on composable pairs.
+
+        Both sides are built as plain rows: the sum accumulates c_k rho(b_k)
+        in place, c_k on the diagonal for an idempotent b_k.
+        """
         a = self.algebra
-        f = self.field
+        p = self.field.p
         out = []
         for i in a.radical_indices:
             bi = a.basis[i]
+            rows_i = self.action[i].rows
             for j in a.radical_indices:
                 bj = a.basis[j]
                 if bi.target != bj.source:
                     continue
-                lhs = self.action[i].mul(self.action[j])
-                rhs = Matrix.zeros(f, self.dims[bi.source], self.dims[bj.target])
+                width = self.dims[bj.target]
+                lhs = mul_rows(p, rows_i, self.action[j].rows, width)
+                rhs = [[0] * width for _ in range(self.dims[bi.source])]
                 for k, c in a.mult(i, j).items():
-                    rhs = rhs.add(self.rho(k).scale(c))
+                    if a.basis[k].degree == 0:
+                        for r, row in enumerate(rhs):
+                            row[r] += c
+                        continue
+                    for row, rk in zip(rhs, self.action[k].rows):
+                        for s, y in enumerate(rk):
+                            if y:
+                                row[s] += c * y
+                if p is not None:
+                    rhs = [[x % p for x in row] for row in rhs]
                 if lhs != rhs:
                     out.append(f"pair ({a.basis_label(i)}, {a.basis_label(j)})")
         return out
@@ -115,10 +141,12 @@ class ModuleMap:
 
     def commutes(self) -> bool:
         a = self.source.algebra
+        p = a.field.p
         for i in a.radical_indices:
             b = a.basis[i]
-            lhs = self.source.action[i].mul(self.mats[b.target])
-            rhs = self.mats[b.source].mul(self.target.action[i])
+            width = self.target.dims[b.target]
+            lhs = mul_rows(p, self.source.action[i].rows, self.mats[b.target].rows, width)
+            rhs = mul_rows(p, self.mats[b.source].rows, self.target.action[i].rows, width)
             if lhs != rhs:
                 return False
         return True
@@ -397,10 +425,33 @@ class IsoResult:
         return self.map is not None
 
 
-def _stable_seed(m: RightModule, n: RightModule) -> int:
-    import zlib
+class _Literal(str):
+    """Text that repr() prints as it is."""
 
-    return zlib.crc32(repr((m.fingerprint, n.fingerprint)).encode())
+    def __repr__(self):
+        return str(self)
+
+
+def _seed_fingerprint(m: RightModule):
+    """m.fingerprint with each rational entry as the text `Fraction(a, b)`,
+    the form every rational entry had when these seeds were fixed."""
+    if not m.field.is_rational:
+        return m.fingerprint
+    alg, dims, actions = m.fingerprint
+    return (
+        alg,
+        dims,
+        tuple(
+            (i, (r, c, tuple(tuple(_Literal(f"Fraction({x.numerator}, {x.denominator})") for x in row) for row in rows)))
+            for i, (r, c, rows) in actions
+        ),
+    )
+
+
+def _stable_seed(m: RightModule, n: RightModule) -> int:
+    """A seed fixed by the two modules; the same for an int entry as for the
+    Fraction of equal value, so iso_test's draws do not depend on the form."""
+    return zlib.crc32(repr((_seed_fingerprint(m), _seed_fingerprint(n))).encode())
 
 
 def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 32) -> IsoResult:
@@ -700,6 +751,12 @@ class Resolution:
             status=status,
         )
 
+    def tower_dims(self, n: RightModule, n_max: int) -> list[int]:
+        """dim Ext^0..Ext^n_max(M, N) read off this tower as it stands, with
+        no certificate; for a tower that is not minimal (`padded_resolution`)."""
+        self.extend_to(n_max + 2)
+        return _ext_from_tower(self, n, n_max)
+
     def ext(self, n: RightModule, n_max: int = 8) -> ExtResult:
         """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`."""
         m = self.module
@@ -836,17 +893,17 @@ def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
     return Resolution(m).ext(n, n_max)
 
 
-def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_vertex: str) -> list[int]:
-    """Ext dimensions from a deliberately non-minimal resolution.
+def padded_resolution(m: RightModule, pad_vertex: str) -> Resolution:
+    """A deliberately non-minimal resolution of m, an independence oracle
+    against the minimal one.
 
     The degree-0 cover is padded with an extra projective summand mapping to
-    zero; from the padded syzygy onward covers are again minimal.  Used as an
-    independence oracle against the minimal-resolution computation.
+    zero; from the padded syzygy onward covers are again minimal.  Read it
+    with `Resolution.tower_dims`: its periodicity and finiteness certificates
+    assume a minimal resolution.
     """
     a = m.algebra
     f = m.field
-    if m.is_zero:
-        return [0] * (n_max + 1)
     _, cover, cmap = top_and_cover(m)
     extra = projective_module(a, pad_vertex)
     padded = direct_sum([cover, extra])
@@ -857,5 +914,11 @@ def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_v
     pmap = ModuleMap(padded, m, mats)
     res = Resolution(m)
     res._push(padded, pmap)
-    res.extend_to(n_max + 2)
-    return _ext_from_tower(res, n, n_max)
+    return res
+
+
+def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_vertex: str) -> list[int]:
+    """Ext dimensions from `padded_resolution(m, pad_vertex)`."""
+    if m.is_zero:
+        return [0] * (n_max + 1)
+    return padded_resolution(m, pad_vertex).tower_dims(n, n_max)

@@ -34,7 +34,7 @@ from .bimodules import (
     tensor_with_bimodule,
     tensor_with_bimodule_map,
 )
-from .linalg import Matrix, Subspace, rank_kernel_image
+from .linalg import Matrix, Subspace, left_kernel
 from .modules import (
     ModuleError,
     RightModule,
@@ -203,11 +203,10 @@ def _exactness_preserved(seq_small, seq_mid, seq_big, incl_mats, proj_mats) -> b
     for v in range(nv):
         if seq_small.dims[v] + seq_big.dims[v] != seq_mid.dims[v]:
             return False
-        rank_i, _, img = rank_kernel_image(incl_mats[v])
-        rank_p, ker, _ = rank_kernel_image(proj_mats[v])
-        if rank_i != seq_small.dims[v]:
+        img = Subspace.from_rows(incl_mats[v].field, incl_mats[v].ncols, incl_mats[v].rows)
+        if img.dim != seq_small.dims[v]:
             return False
-        if img != ker:
+        if img != left_kernel(proj_mats[v]):
             return False
     return True
 

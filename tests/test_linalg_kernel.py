@@ -1,7 +1,8 @@
 """Differential tests: the field-specialized kernels of exrep.linalg against a
 reference copy of the generic kernels they replaced, which dispatch every
 entry operation through FieldSpec.  Results must agree exactly: rows,
-pivots and the Python type of every entry.
+pivots and the Python type of every entry, which `canonical` pins to the
+single form of each value (over Q an int when integral).
 
 Kernels, ranks and solutions are now read from the free columns of one
 transform-free elimination; the reference reads them, as the code it
@@ -20,7 +21,7 @@ from test_modules import conjugated_sum
 from exrep.algebra import corner_algebra, quotient_by_idempotent_ideal
 from exrep.fields import FieldSpec
 from exrep.goldens import bundled_algebra
-from exrep.linalg import Matrix, Subspace, left_kernel, matrix_rank, rank_kernel_image, rref, solve_right
+from exrep.linalg import LinalgError, Matrix, Subspace, left_kernel, matrix_rank, rank_kernel_image, rref, solve_right
 from exrep.modules import ModuleMap, hom_basis
 
 FIELDS = (FieldSpec(None), FieldSpec(2), FieldSpec(3), FieldSpec(5))
@@ -177,9 +178,38 @@ def ref_hom_basis(m, n) -> list[list]:
 
 
 def canonical(field: FieldSpec, x) -> bool:
+    """The single form of a value: over Q an int when integral and a
+    Fraction only otherwise, over F_p an int in [0, p)."""
     if field.p is None:
-        return type(x) is Fraction
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
     return type(x) is int and 0 <= x < field.p
+
+
+def test_canonical_admits_one_form_per_value():
+    q, f3 = FieldSpec(None), FieldSpec(3)
+    assert canonical(q, 2) and canonical(q, 0) and canonical(q, Fraction(1, 2))
+    assert not canonical(q, Fraction(2, 1)) and not canonical(q, Fraction(0))
+    assert not canonical(q, 2.0) and not canonical(q, True)
+    assert canonical(f3, 2) and not canonical(f3, 3) and not canonical(f3, 2.0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name())
+def test_matrix_constructor_canonicalises_and_rejects_floats(field):
+    if field.p is None:
+        m = Matrix(field, [[Fraction(2, 1), Fraction(1, 2)], [True, Fraction(-6, 3)]])
+        assert m.rows == [[2, Fraction(1, 2)], [1, -2]]
+        assert [type(x) for r in m.rows for x in r] == [int, Fraction, int, int]
+        with pytest.raises(LinalgError):
+            Matrix(field, [["1"]])
+    else:
+        m = Matrix(field, [[1, True]])
+        assert [type(x) for r in m.rows for x in r] == [int, int]
+        with pytest.raises(LinalgError):
+            Matrix(field, [[Fraction(1, 2)]])
+    with pytest.raises(LinalgError):
+        Matrix(field, [[1, 0.5]])
+    with pytest.raises(LinalgError):
+        Matrix(field, [[1.0]])
 
 
 def same(got: list[list], want: list[list], field: FieldSpec) -> bool:

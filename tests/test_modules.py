@@ -26,6 +26,7 @@ from exrep.modules import (
     minimal_resolution,
     RightModule,
     module_from_arrow_maps,
+    padded_resolution,
     projective_module,
     simple_module,
     thin_module,
@@ -345,6 +346,19 @@ def test_padded_resolution_agreement(a3, a3_ab, cycle3):
                 minimal = ext_dims(m, n, 4).dims
                 for pad_vertex in alg.vertices:
                     assert ext_dims_from_tower_padded(m, n, 4, pad_vertex) == minimal
+
+
+def test_padded_resolution_is_read_from_one_tower(cycle3):
+    """One padded tower serves every target; its degree-0 term carries the
+    extra projective summand, so the oracle is not the minimal resolution."""
+    m = thin_module(cycle3, ["1", "2"])
+    res = padded_resolution(m, "3")
+    _, cover, _ = top_and_cover(m)
+    extra = projective_module(cycle3, "3")
+    assert res.terms[0].dims == tuple(c + e for c, e in zip(cover.dims, extra.dims))
+    for v in cycle3.vertices:
+        n = simple_module(cycle3, v)
+        assert res.tower_dims(n, 4) == ext_dims(m, n, 4).dims == ext_dims_from_tower_padded(m, n, 4, "3")
 
 
 def test_euler_form_oracle(a3):

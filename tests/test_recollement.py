@@ -1,7 +1,11 @@
 import copy
 import itertools
+from types import SimpleNamespace
 
 import pytest
+
+from exrep.fields import RATIONALS
+from exrep.linalg import Matrix
 
 from exrep.modules import (
     ModuleError,
@@ -17,6 +21,7 @@ from exrep.recollements import (
     J_LOWER,
     J_STAR,
     J_UPPER_STAR,
+    _exactness_preserved,
     build_recollement,
     verify_recollement_laws,
 )
@@ -185,3 +190,20 @@ def test_full_faithfulness_dimensions(a3):
         for n2 in ns:
             assert hom_dim(n, n2) == hom_dim(rec.apply(J_LOWER, n), rec.apply(J_LOWER, n2))
             assert hom_dim(n, n2) == hom_dim(rec.apply(J_STAR, n), rec.apply(J_STAR, n2))
+
+
+@pytest.mark.parametrize(
+    "incl,proj,dims,exact",
+    [
+        ([[1, 0]], [[0], [1]], (1, 2, 1), True),
+        ([[2, 4]], [[2], [-1]], (1, 2, 1), True),
+        ([[1, 0]], [[1], [0]], (1, 2, 1), False),  # image != kernel
+        ([[0, 0]], [[0], [1]], (1, 2, 1), False),  # the inclusion is not injective
+        ([[1, 0]], [[0], [1]], (1, 2, 2), False),  # dimensions are not additive
+    ],
+)
+def test_exactness_preserved_reads_rank_image_and_kernel(incl, proj, dims, exact):
+    small, mid, big = (SimpleNamespace(dims=(d,)) for d in dims)
+    i = Matrix(RATIONALS, incl)
+    p = Matrix(RATIONALS, proj)
+    assert _exactness_preserved(small, mid, big, [i], [p]) is exact
