@@ -3,9 +3,15 @@
 A module stores one space per vertex and one action matrix per degree->=1
 basis element of the algebra; the constructor always re-checks full
 multiplicativity, so every RightModule in circulation is a verified
-representation.  On top of that sit Hom spaces (solved exactly as one linear
-system), endomorphism/brick data, isomorphism testing, projective covers,
-minimal resolutions with periodicity certificates, and Ext dimensions.
+representation.  On top of that sit Hom spaces, endomorphism/brick data,
+isomorphism testing, projective covers, minimal resolutions with periodicity
+certificates, and Ext dimensions.
+
+Hom(M, N) is solved exactly as one linear system (`_hom_kernel`), whose
+kernel rows are verified on every radical basis element in one batched check
+before any reader sees them: `hom_dim`, the brick test and the Hom complex
+behind Ext count or multiply those rows directly, and `hom_basis` cuts them
+into `ModuleMap`s without checking each map again.
 """
 
 from __future__ import annotations
@@ -125,7 +131,12 @@ class RightModule:
 
 
 class ModuleMap:
-    """A homomorphism of right modules, one matrix per vertex; always verified."""
+    """A homomorphism of right modules, one matrix per vertex.
+
+    Verified on construction (`commutes`) unless the caller passes
+    check=False because the matrices are a map by construction, as for
+    compositions, identities and `hom_basis` (whose rows `_hom_kernel` has
+    verified)."""
 
     def __init__(self, source: RightModule, target: RightModule, mats: list[Matrix], check: bool = True):
         if not source.algebra.same_as(target.algebra):
@@ -329,30 +340,31 @@ def direct_sum(summands: list[RightModule]) -> RightModule:
 # hom spaces
 
 
-def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
-    """Canonical basis of Hom(M, N): kernel of the intertwining system.
+def _hom_kernel(m: RightModule, n: RightModule) -> tuple[list[int], list[list]]:
+    """Hom(M, N) as the canonical kernel of the intertwining system, verified.
 
-    Equations are written only for the generators of the radical (a basis of
-    rad/rad^2, `Algebra.radical_generators`).  That is enough: rad is
-    nilpotent (`verify_algebra_axioms`), so rad = G + rad^2 unrolls to rad
-    being spanned by products of generators, and since M and N satisfy the
-    module axioms, rho(xy) = rho(x).rho(y) carries intertwining from the
-    generators to every radical element.  The system is reduced once and the
-    basis read from its free columns (`null_space`).  Each map is still
-    re-verified on all radical basis elements.
+    Returns (offsets, rows): each row is one basis map flattened vertex by
+    vertex, its block at vertex v starting at offsets[v] and read row-major
+    (dims m_v x n_v).  Equations are written only for the generators of the
+    radical (a basis of rad/rad^2, `Algebra.radical_generators`).  That is
+    enough: rad is nilpotent (`verify_algebra_axioms`), so rad = G + rad^2
+    unrolls to rad being spanned by products of generators, and since M and N
+    satisfy the module axioms, rho(xy) = rho(x).rho(y) carries intertwining
+    from the generators to every radical element.  The system is reduced once
+    and the basis read from its free columns (`null_space`); the rows are then
+    checked on every radical basis element (`_check_intertwines`).
     """
     a = m.algebra
     if not a.same_as(n.algebra):
         raise ModuleError("hom between modules over different algebras")
     f = a.field
-    nv = a.n_vertices
     offsets = []
     total = 0
-    for v in range(nv):
+    for v in range(a.n_vertices):
         offsets.append(total)
         total += m.dims[v] * n.dims[v]
     if total == 0:
-        return []
+        return offsets, []
     # one equation row per generator i and entry (p, q) of its block, over
     # the unknowns last-first (`null_space`):
     # sum_k rm[p][k] f_w[k][q] - sum_l f_u[p][l] rn[l][q] = 0
@@ -378,22 +390,65 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
                         col = last - (offsets[u] + p * du + l)
                         eq[col] = f.sub(eq[col], c)
                 rows.append(eq)
-    kernel = null_space(Matrix._adopt(f, rows, len(rows), total))
+    kernel = null_space(Matrix._adopt(f, rows, len(rows), total)).basis.rows
+    _check_intertwines(m, n, offsets, kernel)
+    return offsets, kernel
+
+
+def _check_intertwines(m: RightModule, n: RightModule, offsets: list[int], rows: list[list]) -> None:
+    """Raise unless every row (laid out as `_hom_kernel` returns it) is a map
+    M -> N: rho_M(b).h_w = h_u.rho_N(b) on every radical basis element
+    b: u -> w, the equations `ModuleMap.commutes` checks.  All k rows go
+    through two products per element: rho_M(b) times the w-blocks side by
+    side (m_w x k.n_w), and the u-blocks stacked (k.m_u x n_u) times rho_N(b).
+    """
+    if not rows:
+        return
+    a = m.algebra
+    p = a.field.p
+    k = len(rows)
+    # per vertex v: the v-blocks of the k maps side by side, and stacked
+    side, stack = [], []
+    for v, o in enumerate(offsets):
+        dm, dn = m.dims[v], n.dims[v]
+        side.append(_side_by_side(rows, o, dm, dn))
+        stack.append([row[o + r * dn : o + (r + 1) * dn] for row in rows for r in range(dm)])
+    for i in a.radical_indices:
+        b = a.basis[i]
+        u, w = b.source, b.target
+        dw = n.dims[w]
+        if not m.dims[u] or not dw:
+            continue
+        lhs = mul_rows(p, m.action[i].rows, side[w], k * dw)
+        rhs = mul_rows(p, stack[u], n.action[i].rows, dw)
+        # row r of map j: lhs[r][j.dw : (j+1).dw] against rhs[j.m_u + r]
+        if [lr[s : s + dw] for s in range(0, k * dw, dw) for lr in lhs] != rhs:
+            raise ModuleError("matrices do not intertwine the actions")
+
+
+def _side_by_side(rows: list[list], o: int, dm: int, dn: int) -> list[list]:
+    """The dm x dn blocks at offset o of the flattened maps in rows, placed
+    side by side: a dm x (k.dn) matrix."""
+    return [[x for row in rows for x in row[o + r * dn : o + (r + 1) * dn]] for r in range(dm)]
+
+
+def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
+    """Canonical basis of Hom(M, N) as maps: the rows of `_hom_kernel`,
+    already checked on every radical basis element, cut into vertex blocks."""
+    offsets, kernel = _hom_kernel(m, n)
+    f = m.field
     maps = []
-    for row in kernel.basis.rows:
+    for row in kernel:
         mats = []
-        for v in range(nv):
-            mat = Matrix.zeros(f, m.dims[v], n.dims[v])
-            for p in range(m.dims[v]):
-                for q in range(n.dims[v]):
-                    mat.rows[p][q] = row[offsets[v] + p * n.dims[v] + q]
-            mats.append(mat)
-        maps.append(ModuleMap(m, n, mats))  # re-verified independently of the solver
+        for v, o in enumerate(offsets):
+            dm, dn = m.dims[v], n.dims[v]
+            mats.append(Matrix._adopt(f, [row[o + r * dn : o + (r + 1) * dn] for r in range(dm)], dm, dn))
+        maps.append(ModuleMap(m, n, mats, check=False))
     return maps
 
 
 def hom_dim(m: RightModule, n: RightModule) -> int:
-    return len(hom_basis(m, n))
+    return len(_hom_kernel(m, n)[1])
 
 
 def brick_report(m: RightModule) -> tuple[int, bool]:
@@ -849,16 +904,28 @@ class ExtResult:
 
 
 def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
-    """(dim Hom(P_n, N), rank of the map Hom(P_n, N) -> Hom(P_{n+1}, N))."""
+    """(dim Hom(P_n, N), rank of the map Hom(P_n, N) -> Hom(P_{n+1}, N)).
+
+    h |-> D_{n+1}.h for every kernel row h at once: per vertex v one product
+    of D_{n+1} at v with the v-blocks of all rows side by side."""
     P_n = res.terms[n]
-    basis_n = hom_basis(P_n, target)
-    dim_n = len(basis_n)
+    offsets, kernel = _hom_kernel(P_n, target)
+    dim_n = len(kernel)
     if dim_n == 0:
         return 0, 0
     if n + 1 >= len(res.terms) or res.terms[n + 1].is_zero:
         return dim_n, 0
     D = res.diffs[n + 1]
-    rows = [D.compose(h).flatten() for h in basis_n]
+    p = target.field.p
+    rows = [[] for _ in kernel]
+    for v, o in enumerate(offsets):
+        dt = target.dims[v]
+        if not dt or not D.mats[v].nrows:
+            continue
+        prod = mul_rows(p, D.mats[v].rows, _side_by_side(kernel, o, P_n.dims[v], dt), dim_n * dt)
+        for j, out in enumerate(rows):
+            for pr in prod:
+                out += pr[j * dt : (j + 1) * dt]
     width = len(rows[0])
     if width == 0:
         return dim_n, 0

@@ -9,6 +9,7 @@ the same reports as the per-pair reference on the bundled sequences."""
 import random
 
 import pytest
+from test_hom_kernel import ref_ext_from_tower
 from test_modules import conjugated_sum
 
 from exrep.exceptional import (
@@ -34,7 +35,6 @@ from exrep.modules import (
     Periodic,
     Resolution,
     TruncatedAt,
-    _ext_from_tower,
     brick_report,
     ext_dims,
     hom_dim,
@@ -47,7 +47,8 @@ from exrep.recollements import I_STAR, I_UPPER_STAR, J_LOWER, J_UPPER_STAR, buil
 from exrep.split_extensions import TENSOR_UP, build_split_extension
 
 # ---------------------------------------------------------------------------
-# reference: one fresh resolution per Ext call
+# reference: one fresh resolution per Ext call, its Hom complex read map by
+# map (`ref_ext_from_tower`, a copy independent of the code under test)
 
 
 class RefTower:
@@ -116,7 +117,7 @@ def ref_ext_dims(m, n, n_max):
     else:
         limit = n_max
         certainty = ExactUpTo(n_max)
-    dims = _ext_from_tower(tower, n, limit)
+    dims = ref_ext_from_tower(tower, n, limit)
     while len(dims) <= n_max:
         k = len(dims)
         if isinstance(status, FinitePd):
