@@ -24,7 +24,7 @@ from .exceptional import (
 )
 from .fields import F2, RATIONALS, FieldSpec
 from .fileio import ParseError, parse_algebra_file, parse_module_file
-from .linalg import Matrix, Subspace, quotient_with_section, rank_kernel_image, solve_right
+from .linalg import Matrix, Subspace, quotient_with_section, solve_right
 from .modules import (
     ModuleError,
     ModuleMap,

@@ -237,12 +237,6 @@ class Algebra:
 # building from a quiver presentation
 
 
-def _path_key(path: tuple[tuple[int, ...], int]):
-    """Grading key: (length, arrow indices).  Larger keys get eliminated first."""
-    arrows, _src = path
-    return (len(arrows), arrows)
-
-
 class _Reducer:
     """Echelonized span of ideal multiples inside the truncated path space.
 

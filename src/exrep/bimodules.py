@@ -5,12 +5,12 @@ the radical basis of A and right action matrices for the radical basis of B;
 the two actions commute.  Each row e_u X is a right B-module and each column
 X e_w a right module over the opposite of A, so the module layer does the
 rest: the axioms are the rows' and columns' module axioms plus "left
-multiplication is a map of rows" (`ModuleMap.commutes`), Hom out of X is
-`hom_basis` row by row, and forgetting one side is a direct sum of rows or of
-columns.  Tensoring a right A-module with an (A,B)-bimodule and taking
-right-B-linear maps out of one are the two workhorses: together with
-restriction along an algebra surjection they realize every functor used by the
-split-extension and recollement layers.
+multiplication is a map of rows" (`ModuleMap.commutes`), Hom out of X is read
+from the verified `_hom_kernel` rows of each row, and forgetting one side is a
+direct sum of rows or of columns.  Tensoring a right A-module with an
+(A,B)-bimodule and taking right-B-linear maps out of one are the two
+workhorses: together with restriction along an algebra surjection they
+realize every functor used by the split-extension and recollement layers.
 
 Conventions: for a left action by a: u -> u' the matrix lam(a)[w] sends the
 block X_{u',w} to X_{u,w} (row convention, so x.lam is "multiply by a on the
@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Algebra, AlgebraMorphismData, opposite_algebra
-from .linalg import Matrix, Subspace, quotient_with_section, solve_right
-from .modules import ModuleError, ModuleMap, RightModule, direct_sum, hom_basis, zero_module
+from .linalg import Matrix, Subspace, mul_rows, quotient_with_section, solve_right
+from .modules import ModuleError, ModuleMap, RightModule, _hom_kernel, _side_by_side, direct_sum, zero_module
 
 
 class BimoduleError(ValueError):
@@ -215,12 +215,13 @@ def algebra_as_bimodule(
 
 class TensorQuotient(NamedTuple):
     """M tensor_A X as a quotient of its ambient space, per B-vertex w: the
-    module, the projection and section of each quotient, the offset of each
-    block M_v (x) X_{v,w} in the ambient space, and the ambient dimension."""
+    module, the projection of each quotient, the free (non-pivot) ambient
+    indices that its canonical section picks, the offset of each block
+    M_v (x) X_{v,w} in the ambient space, and the ambient dimension."""
 
     module: RightModule
     projs: list[Matrix]
-    sects: list[Matrix]
+    free: list[set[int]]
     offsets: list[list[int]]
     ambient_dims: list[int]
 
@@ -228,21 +229,21 @@ class TensorQuotient(NamedTuple):
 def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
     """The quotient data behind M tensor_A X (functoriality needs all of it).
 
-    The ambient right B-module is the direct sum of dim M_v copies of e_v X.
-    Balancing relations are written only for the generators of the radical:
-    a relation is linear in a, and the relation for a.b at (m, x) is the
-    relation for b at (m.a, x) plus the relation for a at (m, b.x), so the
-    generators span every relation (rad is spanned by their products).
+    The ambient space at w is dim M_v copies of each X_{v,w}: index (v, p, t)
+    is basis vector t of copy p.  Balancing relations are written only for
+    the generators of the radical: a relation is linear in a, and the
+    relation for a.b at (m, x) is the relation for b at (m.a, x) plus the
+    relation for a at (m, b.x), so the generators span every relation (rad is
+    spanned by their products).  b: w -> w2 in B sends free index (v, p, t)
+    to row t of rho_X(b) at v times the projection rows of copy (v, p) at w2.
     """
     A, B = x.left_algebra, x.right_algebra
     if not m.algebra.same_as(A):
         raise ModuleError("tensor: module is not over the bimodule's left algebra")
     f = x.field
     nv, nw = A.n_vertices, B.n_vertices
-    copies = [x.rows[v] for v in range(nv) for _ in range(m.dims[v])]
-    ambient = direct_sum(copies) if copies else zero_module(B)
-    amb = list(ambient.dims)
     offsets: list[list[int]] = []
+    amb: list[int] = []
     for w in range(nw):
         offs = []
         total = 0
@@ -250,7 +251,8 @@ def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
             offs.append(total)
             total += m.dims[v] * x.dims[v][w]
         offsets.append(offs)
-    projs, sects, dims = [], [], []
+        amb.append(total)
+    projs, free, dims = [], [], []
     for w in range(nw):
         rows = []
         for i in A.radical_generators:
@@ -275,15 +277,24 @@ def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
                             )
                     if any(e != 0 for e in row):
                         rows.append(row)
-        p, s, q = quotient_with_section(f, amb[w], Subspace.from_rows(f, amb[w], rows))
-        projs.append(p)
-        sects.append(s)
+        relations = Subspace.from_rows(f, amb[w], rows)
+        proj, _, q = quotient_with_section(f, amb[w], relations)
+        projs.append(proj)
+        free.append(set(range(amb[w])).difference(relations.pivots))
         dims.append(q)
     action: dict[int, Matrix] = {}
     for j in B.radical_indices:
-        b = B.basis[j]
-        action[j] = sects[b.source].mul(ambient.action[j]).mul(projs[b.target])
-    return TensorQuotient(RightModule(B, dims, action), projs, sects, offsets, amb)
+        w, w2 = B.basis[j].source, B.basis[j].target
+        rows = []
+        for v in range(nv):
+            d, d2 = x.dims[v][w], x.dims[v][w2]
+            for p in range(m.dims[v]):
+                o, o2 = offsets[w][v] + p * d, offsets[w2][v] + p * d2
+                picked = [r for t, r in enumerate(x.right[j][v].rows) if o + t in free[w]]
+                if picked:
+                    rows += mul_rows(f.p, picked, projs[w2].rows[o2 : o2 + d2], dims[w2])
+        action[j] = Matrix(f, rows, dims[w], dims[w2])
+    return TensorQuotient(RightModule(B, dims, action), projs, free, offsets, amb)
 
 
 def tensor_with_bimodule(m: RightModule, x: Bimodule) -> RightModule:
@@ -301,8 +312,10 @@ def tensor_with_bimodule_map(
 ) -> ModuleMap:
     """Functoriality of - tensor X: the induced map between the tensors.
 
-    `source` and `target` are the `tensor_quotient`s of fmap's source and
-    target when the caller already holds them; missing ones are computed.
+    F (x) id sends free source index (v, p, t) at w to sum_k F_v[p][k] times
+    the target projection row of (v, k, t).  `source` and `target` are the
+    `tensor_quotient`s of fmap's source and target when the caller already
+    holds them; missing ones are computed.
     """
     A, B = x.left_algebra, x.right_algebra
     f = x.field
@@ -310,46 +323,56 @@ def tensor_with_bimodule_map(
         source = tensor_quotient(fmap.source, x)
     if target is None:
         target = tensor_quotient(fmap.target, x)
-    src_mod, _, src_sects, src_off, src_amb = source
-    tgt_mod, tgt_projs, _, tgt_off, tgt_amb = target
     mats = []
     for w in range(B.n_vertices):
-        big = Matrix.zeros(f, src_amb[w], tgt_amb[w])
+        proj, q = target.projs[w].rows, target.module.dims[w]
+        rows = []
         for v in range(A.n_vertices):
-            F = fmap.mats[v]
-            for p in range(fmap.source.dims[v]):
-                for t in range(x.dims[v][w]):
-                    src_idx = src_off[w][v] + p * x.dims[v][w] + t
-                    for k in range(fmap.target.dims[v]):
-                        c = F.rows[p][k]
-                        if c != 0:
-                            big.rows[src_idx][tgt_off[w][v] + k * x.dims[v][w] + t] = c
-        mats.append(src_sects[w].mul(big).mul(tgt_projs[w]))
-    return ModuleMap(src_mod, tgt_mod, mats)
+            d, F = x.dims[v][w], fmap.mats[v].rows
+            o, o2 = source.offsets[w][v], target.offsets[w][v]
+            end = o2 + fmap.target.dims[v] * d
+            # by_t[t][p]: row p of F_v times the target rows (v, k, t), k = 0, 1, ..
+            by_t = [mul_rows(f.p, F, proj[o2 + t : end : d], q) for t in range(d)]
+            rows += [by_t[t][p] for p in range(len(F)) for t in range(d) if o + p * d + t in source.free[w]]
+        mats.append(Matrix(f, rows, source.module.dims[w], q))
+    return ModuleMap(source.module, target.module, mats)
 
 
 def hom_from_bimodule(x: Bimodule, n: RightModule) -> RightModule:
     """Hom_B(X, N) as a right A-module, for X an (A,B)-bimodule and N over B.
 
-    The space over an A-vertex u is Hom_B(e_u X, N) (`hom_basis` of the row);
-    the right A-action is (f.a)(x) = f(a.x), read off by solving the
-    precomposed basis maps against the target row's basis.
+    The space over an A-vertex u is Hom_B(e_u X, N), the verified kernel
+    rows of `_hom_kernel` for the row e_u X.  The right A-action is
+    (h.a)_w = lam(a)[w].h_w for a: u -> u2, computed for all rows at once
+    (per right vertex w one product of lam(a)[w] with the w-blocks side by
+    side) and solved against the rows of Hom_B(e_u2 X, N).
     """
     A, B = x.left_algebra, x.right_algebra
     if not n.algebra.same_as(B):
         raise ModuleError("hom: module is not over the bimodule's right algebra")
     f = x.field
-    bases = [hom_basis(row, n) for row in x.rows]
-    dims = [len(basis) for basis in bases]
+    kernels = [_hom_kernel(row, n) for row in x.rows]
+    dims = [len(rows) for _, rows in kernels]
     action: dict[int, Matrix] = {}
     for i in A.radical_indices:
         a = A.basis[i]
         u, u2 = a.source, a.target
-        lam = x.left_map(i)
-        width = sum(d * e for d, e in zip(x.rows[u2].dims, n.dims))
-        target = Matrix(f, [h.flatten() for h in bases[u2]], dims[u2], width)
-        moved = Matrix(f, [lam.compose(h).flatten() for h in bases[u]], dims[u], width)
-        sol = solve_right(target, moved)
+        offsets, rows = kernels[u]
+        if not rows:
+            action[i] = Matrix.zeros(f, 0, dims[u2])
+            continue
+        moved = [[] for _ in rows]
+        for w, o in enumerate(offsets):
+            dn, lam = n.dims[w], x.left[i][w]
+            if not dn or not lam.nrows:
+                continue
+            prod = mul_rows(f.p, lam.rows, _side_by_side(rows, o, x.dims[u][w], dn), len(rows) * dn)
+            for j, out in enumerate(moved):
+                for pr in prod:
+                    out += pr[j * dn : (j + 1) * dn]
+        width = sum(d * e for d, e in zip(x.dims[u2], n.dims))
+        target = Matrix._adopt(f, kernels[u2][1], dims[u2], width)
+        sol = solve_right(target, Matrix(f, moved, len(rows), width))
         if sol is None:
             raise BimoduleError("hom action left the solution space (internal error)")
         action[i] = sol[0]

@@ -170,9 +170,6 @@ class Matrix:
             rows = [[c * x % p for x in r] for r in self.rows]
         return Matrix._adopt(self.field, rows, self.nrows, self.ncols)
 
-    def row(self, i) -> list:
-        return list(self.rows[i])
-
     def det(self):
         if self.nrows != self.ncols:
             raise LinalgError("determinant of non-square matrix")
@@ -403,17 +400,6 @@ def left_kernel(m: Matrix) -> Subspace:
 def matrix_rank(m: Matrix) -> int:
     """Rank, reducing the orientation with fewer rows."""
     return len(rref(m.transpose() if m.nrows > m.ncols else m)[1])
-
-
-def rank_kernel_image(m: Matrix) -> tuple[int, Subspace, Subspace]:
-    """Rank, kernel {x : x.m = 0} and image (row space) of m.
-
-    rank + dim(kernel) = nrows; both subspaces come back canonical.
-    """
-    R, piv = rref(m)
-    rank = len(piv)
-    image = Subspace(m.ncols, Matrix._adopt(m.field, R.rows[:rank], rank, m.ncols), tuple(piv))
-    return rank, left_kernel(m), image
 
 
 def solve_right(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:

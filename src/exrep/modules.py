@@ -859,12 +859,9 @@ def minimal_resolution(m: RightModule, max_steps: int = 24) -> ResolutionPrefix:
 
 
 def is_projective_module(m: RightModule) -> bool:
-    """True iff the first syzygy is zero."""
-    if m.is_zero:
-        return True
-    _, _, cmap = top_and_cover(m)
-    ker, _ = kernel_of(cmap)
-    return ker.is_zero
+    """True iff the first syzygy is zero: `top_and_cover` has checked by rank
+    that the cover map is onto, so iff the cover has the dimensions of M."""
+    return m.is_zero or top_and_cover(m)[1].dims == m.dims
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import Algebra, corner_algebra, quotient_by_idempotent_ideal
 from .bimodules import (
+    Bimodule,
     TensorQuotient,
     algebra_as_bimodule,
     hom_from_bimodule,
@@ -70,7 +72,6 @@ class Recollement:
         self.eps_labels = tuple(algebra.vertices[v] for v in eps)
         self.Abar, self.pi = quotient_by_idempotent_ideal(algebra, self.eps_labels)
         self.Atilde, self.corner_incl = corner_algebra(algebra, self.eps_labels)
-        f = algebra.field
         abar_vmap = {vi: t for t, vi in enumerate(v for v in range(algebra.n_vertices) if v not in eps)}
         # Abar as (A, Abar)- and (Abar, A)-bimodule, acting through pi on the A side
         self.abar_A_Abar = algebra_as_bimodule(
@@ -85,20 +86,23 @@ class Recollement:
             right_vertex_map={u: abar_vmap[u] for u in abar_vmap},
             name="Abar as (Abar,A)",
         )
-        # eps.A as (Atilde, A)-bimodule and A.eps as (A, Atilde)-bimodule
-        self.eps_A = algebra_as_bimodule(
-            algebra, self.Atilde, algebra,
-            left_transport=self.corner_incl,
-            name="epsA as (Atilde,A)",
-        )
-        self.A_eps = algebra_as_bimodule(
-            algebra, algebra, self.Atilde,
-            right_transport=self.corner_incl,
-            name="Aeps as (A,Atilde)",
-        )
         self.istar_exact = is_projective_module(left_module_over_op(self.abar_A_Abar))
         self.ishriek_exact = is_projective_module(right_module_of(self.abar_Abar_A))
         self._memo: dict = {}
+
+    @cached_property
+    def eps_A(self) -> Bimodule:
+        """eps.A as an (Atilde, A)-bimodule, behind j_!."""
+        return algebra_as_bimodule(
+            self.A, self.Atilde, self.A, left_transport=self.corner_incl, name="epsA as (Atilde,A)"
+        )
+
+    @cached_property
+    def A_eps(self) -> Bimodule:
+        """A.eps as an (A, Atilde)-bimodule, behind j_*."""
+        return algebra_as_bimodule(
+            self.A, self.A, self.Atilde, right_transport=self.corner_incl, name="Aeps as (A,Atilde)"
+        )
 
     # -- functors ----------------------------------------------------------
 
@@ -211,6 +215,20 @@ def _exactness_preserved(seq_small, seq_mid, seq_big, incl_mats, proj_mats) -> b
     return True
 
 
+def _hom_table():
+    """hom_dim, read once per (source, target) pair: the law checks meet the
+    same pair many times, and each call keeps its own table."""
+    dims: dict = {}
+
+    def dim(m: RightModule, n: RightModule) -> int:
+        key = (m.fingerprint, n.fingerprint)
+        if key not in dims:
+            dims[key] = hom_dim(m, n)
+        return dims[key]
+
+    return dim
+
+
 def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: int = 0) -> LawReport:
     """Check the recollement identities on the given sample modules over A.
 
@@ -223,6 +241,7 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     """
     report = LawReport()
     rng = random.Random(seed)
+    hom = _hom_table()
     for m in samples:
         rec._require(m, rec.A)
     samples_bar = [rec.apply(I_UPPER_STAR, m) for m in samples]
@@ -254,18 +273,18 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
         check("j^* j_* = 1", iso_test(back2, n).isomorphic, f"sample {k}: dims {back2.dims} vs {n.dims}")
     # (R1) adjunction dimension identities
     for k, (m, x) in enumerate(zip(samples, samples_bar)):
-        lhs = hom_dim(rec.apply(I_UPPER_STAR, m), x)
-        rhs = hom_dim(m, rec.apply(I_STAR, x))
+        lhs = hom(rec.apply(I_UPPER_STAR, m), x)
+        rhs = hom(m, rec.apply(I_STAR, x))
         check("adjunction (i^*, i_*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
-        lhs = hom_dim(rec.apply(I_STAR, x), m)
-        rhs = hom_dim(x, rec.apply(I_SHRIEK, m))
+        lhs = hom(rec.apply(I_STAR, x), m)
+        rhs = hom(x, rec.apply(I_SHRIEK, m))
         check("adjunction (i_*, i^!)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
     for k, (m, n) in enumerate(zip(samples, samples_til)):
-        lhs = hom_dim(rec.apply(J_LOWER, n), m)
-        rhs = hom_dim(n, rec.apply(J_UPPER_STAR, m))
+        lhs = hom(rec.apply(J_LOWER, n), m)
+        rhs = hom(n, rec.apply(J_UPPER_STAR, m))
         check("adjunction (j_!, j^*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
-        lhs = hom_dim(rec.apply(J_UPPER_STAR, m), n)
-        rhs = hom_dim(m, rec.apply(J_STAR, n))
+        lhs = hom(rec.apply(J_UPPER_STAR, m), n)
+        rhs = hom(m, rec.apply(J_STAR, n))
         check("adjunction (j^*, j_*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
     report.notes.append(
         "j_* realized as Hom over the corner of A.eps (the right-Atilde-module form "
@@ -274,20 +293,20 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     # (R2) full faithfulness as hom-dimension equalities
     for k, x in enumerate(samples_bar):
         for l, y in enumerate(samples_bar):
-            lhs = hom_dim(x, y)
-            rhs = hom_dim(rec.apply(I_STAR, x), rec.apply(I_STAR, y))
+            lhs = hom(x, y)
+            rhs = hom(rec.apply(I_STAR, x), rec.apply(I_STAR, y))
             check("i_* fully faithful", lhs == rhs, f"pair ({k},{l}): {lhs} != {rhs}")
     for k, n in enumerate(samples_til):
         for l, n2 in enumerate(samples_til):
-            lhs = hom_dim(n, n2)
+            lhs = hom(n, n2)
             check(
                 "j_! fully faithful",
-                hom_dim(rec.apply(J_LOWER, n), rec.apply(J_LOWER, n2)) == lhs,
+                hom(rec.apply(J_LOWER, n), rec.apply(J_LOWER, n2)) == lhs,
                 f"pair ({k},{l})",
             )
             check(
                 "j_* fully faithful",
-                hom_dim(rec.apply(J_STAR, n), rec.apply(J_STAR, n2)) == lhs,
+                hom(rec.apply(J_STAR, n), rec.apply(J_STAR, n2)) == lhs,
                 f"pair ({k},{l})",
             )
     # (R3) j^* i_* = 0

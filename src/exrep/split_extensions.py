@@ -10,6 +10,8 @@ sides.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import Algebra, AlgebraMorphismData, BasisElement, verify_algebra_axioms
 from .bimodules import (
     Bimodule,
@@ -50,11 +52,22 @@ class SplitExtension:
             a_into_r.rows[ai][ri] = r.field.one()
         self._section_transport = AlgebraMorphismData("corner", a, r, a_into_r)
         self.R_as_A_R = algebra_as_bimodule(r, a, r, left_transport=self._section_transport, name="R as (A,R)")
-        self.R_as_R_A = algebra_as_bimodule(r, r, a, right_transport=self._section_transport, name="R as (R,A)")
-        self.A_as_R_A = algebra_as_bimodule(a, r, a, left_transport=xi, name="A as (R,A)")
-        self.A_as_A_R = algebra_as_bimodule(a, a, r, right_transport=xi, name="A as (A,R)")
         self.Q = self._build_q_bimodule()
         self.is_projective_left = is_projective_module(self.left_module_R())
+
+    # built on first use; R as (A,R) and Q stay eager, since the constructor's
+    # projectivity certificate and ideal checks need them
+    @cached_property
+    def R_as_R_A(self) -> Bimodule:
+        return algebra_as_bimodule(self.R, self.R, self.A, right_transport=self._section_transport, name="R as (R,A)")
+
+    @cached_property
+    def A_as_R_A(self) -> Bimodule:
+        return algebra_as_bimodule(self.A, self.R, self.A, left_transport=self.xi, name="A as (R,A)")
+
+    @cached_property
+    def A_as_A_R(self) -> Bimodule:
+        return algebra_as_bimodule(self.A, self.A, self.R, right_transport=self.xi, name="A as (A,R)")
 
     @property
     def dim_q(self) -> int:

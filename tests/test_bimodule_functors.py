@@ -13,7 +13,7 @@ import pytest
 from exrep.algebra import opposite_algebra
 from exrep.bimodules import BimoduleError, hom_from_bimodule, left_module_over_op, right_module_of
 from exrep.goldens import bundled_algebra
-from exrep.linalg import Matrix, rank_kernel_image, solve_right
+from exrep.linalg import Matrix, left_kernel, solve_right
 from exrep.modules import ModuleError, RightModule, direct_sum, projective_module, simple_module, thin_module
 from exrep.recollements import build_recollement
 from exrep.split_extensions import build_split_extension
@@ -59,7 +59,7 @@ def ref_hom_from_bimodule(x, n):
                             idx = offs[w] + p * n.dims[w] + l
                             E.rows[idx][eq] = f.sub(E.rows[idx][eq], c)
                     eq += 1
-        _, kernel, _ = rank_kernel_image(E)
+        kernel = left_kernel(E)
         sols = []
         for row in kernel.basis.rows:
             mats = []

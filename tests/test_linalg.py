@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg_kernel import rank_kernel_image
 
 from exrep.fields import F2, RATIONALS, FieldError, FieldSpec, field_from_name
 from exrep.linalg import (
@@ -10,7 +11,6 @@ from exrep.linalg import (
     Matrix,
     Subspace,
     quotient_with_section,
-    rank_kernel_image,
     solve_right,
 )
 

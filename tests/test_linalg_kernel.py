@@ -21,10 +21,18 @@ from test_modules import conjugated_sum
 from exrep.algebra import corner_algebra, quotient_by_idempotent_ideal
 from exrep.fields import FieldSpec
 from exrep.goldens import bundled_algebra
-from exrep.linalg import LinalgError, Matrix, Subspace, left_kernel, matrix_rank, rank_kernel_image, rref, solve_right
+from exrep.linalg import LinalgError, Matrix, Subspace, left_kernel, matrix_rank, rref, solve_right
 from exrep.modules import ModuleMap, hom_basis
 
 FIELDS = (FieldSpec(None), FieldSpec(2), FieldSpec(3), FieldSpec(5))
+
+
+def rank_kernel_image(m: Matrix):
+    """Rank, kernel {x : x.m = 0} and image (row space) of m, both canonical,
+    from the library's `rref` and `left_kernel`."""
+    R, piv = rref(m)
+    rank = len(piv)
+    return rank, left_kernel(m), Subspace(m.ncols, Matrix(m.field, R.rows[:rank], rank, m.ncols), tuple(piv))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import exrep.recollements as recollements
 from exrep.fields import RATIONALS
+from exrep.goldens import bundled_algebra
 from exrep.linalg import Matrix
-
 from exrep.modules import (
     ModuleError,
+    direct_sum,
     hom_dim,
     iso_test,
     simple_module,
@@ -207,3 +209,70 @@ def test_exactness_preserved_reads_rank_image_and_kernel(incl, proj, dims, exact
     i = Matrix(RATIONALS, incl)
     p = Matrix(RATIONALS, proj)
     assert _exactness_preserved(small, mid, big, [i], [p]) is exact
+
+
+HOM_TABLE_CASES = [(name, eps) for name in ("a3", "a42") for eps in (("1",), ("2",), ("3",), ("2", "3"))]
+
+
+def laws_without_hom_table(rec, samples, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(recollements, "_hom_table", lambda: hom_dim)
+        return verify_recollement_laws(rec, samples, seed=11)
+
+
+@pytest.mark.parametrize("name, eps", HOM_TABLE_CASES, ids=[f"{n}-{','.join(e)}" for n, e in HOM_TABLE_CASES])
+def test_hom_table_gives_the_plain_report(name, eps, monkeypatch):
+    """The law checker reads each Hom dimension once per (source, target)
+    pair: every value it reads equals a fresh `hom_dim`, its report is
+    exactly the one plain `hom_dim` calls give, and it solves one Hom per
+    distinct pair.  The semisimple samples share dimension vectors with thin
+    ones, so a table keyed by less than the module would read wrong values."""
+    alg = bundled_algebra(name)
+    samples = thins(alg) + [direct_sum([simple_module(alg, v) for v in sup]) for sup in (("1", "2"), ("2", "3"))]
+    table, calls = recollements._hom_table, []
+
+    def checked_table():
+        dim = table()
+
+        def checked(m, n):
+            got = dim(m, n)
+            assert got == hom_dim(m, n)
+            return got
+
+        return checked
+
+    def counting(m, n):
+        calls.append((m.fingerprint, n.fingerprint))
+        return hom_dim(m, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(recollements, "_hom_table", checked_table)
+        patch.setattr(recollements, "hom_dim", counting)
+        got = verify_recollement_laws(build_recollement(alg, eps), samples, seed=11)
+    plain = laws_without_hom_table(build_recollement(alg, eps), samples, monkeypatch)
+    assert (got.checked, got.failures, got.notes) == (plain.checked, plain.failures, plain.notes)
+    assert got.ok
+    assert len(calls) == len(set(calls))
+
+
+def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
+    """j_* planted as its value plus S(1): the laws that compare Hom
+    dimensions must still fail, exactly as without the table."""
+    apply = recollements.Recollement.apply
+
+    def planted(self, kind, m):
+        out = apply(self, kind, m)
+        return direct_sum([out, simple_module(self.A, "1")]) if kind == J_STAR else out
+
+    monkeypatch.setattr(recollements.Recollement, "apply", planted)
+    table = verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11)
+    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3), monkeypatch)
+    assert table.failures == plain.failures
+    failed = {f.law for f in table.failures}
+    assert {"adjunction (j^*, j_*)", "j_* fully faithful"} <= failed
+
+
+def test_corner_bimodules_are_built_on_first_use(a3):
+    rec = build_recollement(a3, ("2", "3"))
+    assert "eps_A" not in vars(rec) and "A_eps" not in vars(rec)
+    assert rec.eps_A is rec.eps_A and rec.A_eps.right_algebra is rec.Atilde
