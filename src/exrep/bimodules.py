@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Algebra, AlgebraMorphismData, opposite_algebra
-from .linalg import Matrix, Subspace, mul_rows, quotient_with_section, solve_right
+from .linalg import Matrix, Subspace, _canon_row, mul_rows, quotient_with_section, solve_right
 from .modules import ModuleError, ModuleMap, RightModule, _hom_kernel, _side_by_side, direct_sum, zero_module
 
 
@@ -252,30 +252,31 @@ def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
             total += m.dims[v] * x.dims[v][w]
         offsets.append(offs)
         amb.append(total)
+    prime = f.p
     projs, free, dims = [], [], []
     for w in range(nw):
         rows = []
         for i in A.radical_generators:
             a = A.basis[i]
             v, v2 = a.source, a.target  # a: v -> v2
-            act = m.action[i]           # M_v -> M_v2
-            lam = x.left[i][w]          # X_{v2,w} -> X_{v,w}
+            act = m.action[i].rows      # M_v -> M_v2
+            lam = x.left[i][w].rows     # X_{v2,w} -> X_{v,w}
+            d, d2 = x.dims[v][w], x.dims[v2][w]
+            o, o2 = offsets[w][v], offsets[w][v2]
             for p in range(m.dims[v]):
-                for t in range(x.dims[v2][w]):
-                    row = [f.zero()] * amb[w]
-                    for k in range(m.dims[v2]):
-                        c = act.rows[p][k]
-                        if c != 0:
-                            row[offsets[w][v2] + k * x.dims[v2][w] + t] = f.add(
-                                row[offsets[w][v2] + k * x.dims[v2][w] + t], c
-                            )
-                    for s in range(x.dims[v][w]):
-                        c = lam.rows[t][s]
-                        if c != 0:
-                            row[offsets[w][v] + p * x.dims[v][w] + s] = f.sub(
-                                row[offsets[w][v] + p * x.dims[v][w] + s], c
-                            )
-                    if any(e != 0 for e in row):
+                for t in range(d2):
+                    row = [0] * amb[w]
+                    for k, c in enumerate(act[p]):
+                        if c:
+                            row[o2 + k * d2 + t] += c
+                    for s, c in enumerate(lam[t], o + p * d):
+                        if c:
+                            row[s] -= c
+                    if prime is not None:
+                        row = [e % prime for e in row]
+                    elif v == v2:  # only a loop can put both terms in one entry
+                        row = _canon_row(row)
+                    if any(row):
                         rows.append(row)
         relations = Subspace.from_rows(f, amb[w], rows)
         proj, _, q = quotient_with_section(f, amb[w], relations)

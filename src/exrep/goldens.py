@@ -327,11 +327,12 @@ def criterion_property_suite() -> CriterionResult:
     # (iii) recollement laws on >= 3 idempotents for both base algebras
     a42 = bundled_algebra("a42")
     law_pairs = 0
+    hom_dims: dict = {}  # one Hom table for all eight checks
     for alg in (a3, a42):
         thins = thins_of(alg)
         for eps in (["1"], ["2"], ["3"], ["2", "3"]):
             rec = build_recollement(alg, eps)
-            rep = verify_recollement_laws(rec, thins, seed=7)
+            rep = verify_recollement_laws(rec, thins, seed=7, hom_dims=hom_dims)
             if not rep.ok:
                 problems.append(
                     f"(iii) laws fail over {alg.name} eps={eps}: {rep.failures[0].law}"

@@ -431,19 +431,22 @@ def quotient_with_section(field: FieldSpec, ambient: int, w: Subspace) -> tuple[
 
     projection: ambient x q with kernel(v |-> v.projection) = w;
     section: q x ambient with section.projection = identity on the quotient.
+
+    Projection row i is e_i reduced by w's RREF basis R, on the free columns:
+    a unit row for a free column, -R_k for the pivot column c_k of R_k (R is
+    reduced, so e_{c_k} - R_k already vanishes on every pivot column).
     """
     if w.ambient != ambient:
         raise LinalgError("subspace does not sit in the requested ambient space")
-    free = [c for c in range(ambient) if c not in w.pivots]
+    p = field.p
+    pivot_row = {c: k for k, c in enumerate(w.pivots)}
+    free = [c for c in range(ambient) if c not in pivot_row]
     q = len(free)
     proj = Matrix.zeros(field, ambient, q)
-    one = field.one()
-    for i in range(ambient):
-        e = [field.zero()] * ambient
-        e[i] = one
-        red = w.reduce_vector(e)
-        proj.rows[i] = [red[c] for c in free]
     sect = Matrix.zeros(field, q, ambient)
     for j, c in enumerate(free):
-        sect.rows[j][c] = one
+        proj.rows[c][j] = sect.rows[j][c] = 1
+    for c, k in pivot_row.items():
+        row = w.basis.rows[k]
+        proj.rows[c] = [-row[c2] for c2 in free] if p is None else [-row[c2] % p for c2 in free]
     return proj, sect, q

@@ -126,6 +126,14 @@ class RightModule:
             tuple((i, self.action[i].key()) for i in self.algebra.radical_indices),
         )
 
+    @cached_property
+    def memo_key(self):
+        """The fingerprint with the algebra object (hashed by identity) in place
+        of its table, for memos: tuples do not cache their hash.  Equal keys
+        mean equal modules; over an equal but distinct algebra a memo misses."""
+        _, dims, actions = self.fingerprint
+        return (self.algebra, dims, actions)
+
     def __repr__(self):
         return f"RightModule(dims={self.dims} over {self.algebra.name})"
 

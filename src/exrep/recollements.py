@@ -107,7 +107,7 @@ class Recollement:
     # -- functors ----------------------------------------------------------
 
     def apply(self, kind: str, m: RightModule) -> RightModule:
-        key = (kind, m.fingerprint)
+        key = (kind, m.memo_key)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -136,7 +136,7 @@ class Recollement:
     def j_lower_quotient(self, m: RightModule) -> TensorQuotient:
         """The tensor quotient behind j_!(m), kept in the functor memo: the
         maps j_! induces are read off the same quotient."""
-        key = ("j_! quotient", m.fingerprint)
+        key = ("j_! quotient", m.memo_key)
         hit = self._memo.get(key)
         if hit is None:
             self._require(m, self.Atilde)
@@ -215,21 +215,23 @@ def _exactness_preserved(seq_small, seq_mid, seq_big, incl_mats, proj_mats) -> b
     return True
 
 
-def _hom_table():
+def _hom_table(dims: dict | None = None):
     """hom_dim, read once per (source, target) pair: the law checks meet the
-    same pair many times, and each call keeps its own table."""
-    dims: dict = {}
+    same pair many times.  Keyed by `memo_key`s, so calls may share dims."""
+    dims = {} if dims is None else dims
 
     def dim(m: RightModule, n: RightModule) -> int:
-        key = (m.fingerprint, n.fingerprint)
-        if key not in dims:
-            dims[key] = hom_dim(m, n)
-        return dims[key]
+        key = (m.memo_key, n.memo_key)
+        got = dims.get(key)
+        if got is None:
+            got = dims[key] = hom_dim(m, n)
+        return got
 
     return dim
 
 
-def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: int = 0) -> LawReport:
+def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: int = 0,
+                            hom_dims: dict | None = None) -> LawReport:
     """Check the recollement identities on the given sample modules over A.
 
     Samples over Abar and Atilde are derived through i^* and j^*.  Checked:
@@ -237,11 +239,11 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     dimension identities, full faithfulness, Im(i_*) <= Ker(j^*), exactness
     of i_* and j^* on short exact sequences cut from random submodules, and
     the conditional vanishing i^! j_! = 0 / i^* j_* = 0 under the exactness
-    certificates.
+    certificates.  Calls may share one `hom_dims` table (see `_hom_table`).
     """
     report = LawReport()
     rng = random.Random(seed)
-    hom = _hom_table()
+    hom = _hom_table(hom_dims)
     for m in samples:
         rec._require(m, rec.A)
     samples_bar = [rec.apply(I_UPPER_STAR, m) for m in samples]

@@ -122,8 +122,8 @@ class SplitExtension:
         return left_module_over_op(self.Q)
 
     def apply(self, kind: str, m: RightModule) -> RightModule:
-        """One of the four functors; memoized per (functor, module fingerprint)."""
-        key = (kind, m.fingerprint)
+        """One of the four functors; memoized per (functor, module memo_key)."""
+        key = (kind, m.memo_key)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -150,7 +150,7 @@ class SplitExtension:
 
     def tensor_with_Q(self, m: RightModule) -> RightModule:
         _require_over(m, self.A)
-        key = ("tensor-q", m.fingerprint)
+        key = ("tensor-q", m.memo_key)
         hit = self._memo.get(key)
         if hit is None:
             hit = tensor_with_bimodule(m, self.Q)

@@ -5,7 +5,10 @@ versions they replaced.
 - `tensor_quotient` reads the induced B-action straight from the rows of
   rho_X and the projection blocks; the reference builds the ambient right
   module as a `direct_sum` of row copies and multiplies section, ambient
-  action and projection.
+  action and projection.  Its balancing rows, recorded on their way to the
+  RREF, must equal a reference written with one FieldSpec call per entry,
+  and the reference projects with the reduce-loop copy kept in
+  `test_linalg_kernel`.
 - `tensor_with_bimodule_map` reads F (x) id from the projection rows; the
   reference assembles the whole F (x) id matrix and multiplies it between
   section and projection.
@@ -27,10 +30,15 @@ same modules and on both one-sided modules of every bimodule.
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
+from test_linalg_kernel import canonical, ref_quotient_with_section, same
 
+import exrep.bimodules as bimodule_layer
+from exrep.algebra import build_algebra
 from exrep.bimodules import (
+    Bimodule,
     algebra_as_bimodule,
     hom_from_bimodule,
     left_module_over_op,
@@ -41,7 +49,7 @@ from exrep.bimodules import (
 from exrep.exceptional import _refield
 from exrep.fields import FieldSpec
 from exrep.goldens import bundled_algebra
-from exrep.linalg import Matrix, Subspace, quotient_with_section, solve_right
+from exrep.linalg import Matrix, Subspace, solve_right
 from exrep.modules import (
     ModuleError,
     ModuleMap,
@@ -60,6 +68,7 @@ from exrep.modules import (
     top_and_cover,
     zero_module,
 )
+from exrep.quiver import Arrow, Quiver, RelationExpr
 from exrep.recollements import build_recollement
 from exrep.split_extensions import build_split_extension
 
@@ -69,6 +78,32 @@ Q, F2, F3 = FieldSpec(None), FieldSpec(2), FieldSpec(3)
 
 # ---------------------------------------------------------------------------
 # reference copies of the replaced functors
+
+
+def ref_balancing_rows(m, x, w, offsets, amb):
+    """The balancing relations at B-vertex w, one FieldSpec call per entry."""
+    A, f = x.left_algebra, x.field
+    rows = []
+    for i in A.radical_generators:
+        a = A.basis[i]
+        v, v2 = a.source, a.target
+        act, lam = m.action[i], x.left[i][w]
+        for p in range(m.dims[v]):
+            for t in range(x.dims[v2][w]):
+                row = [f.zero()] * amb[w]
+                for k in range(m.dims[v2]):
+                    c = act.rows[p][k]
+                    if c != 0:
+                        idx = offsets[w][v2] + k * x.dims[v2][w] + t
+                        row[idx] = f.add(row[idx], c)
+                for s in range(x.dims[v][w]):
+                    c = lam.rows[t][s]
+                    if c != 0:
+                        idx = offsets[w][v] + p * x.dims[v][w] + s
+                        row[idx] = f.sub(row[idx], c)
+                if any(e != 0 for e in row):
+                    rows.append(row)
+    return rows
 
 
 def ref_tensor_quotient(m, x):
@@ -89,27 +124,8 @@ def ref_tensor_quotient(m, x):
         offsets.append(offs)
     projs, sects, dims = [], [], []
     for w in range(nw):
-        rows = []
-        for i in A.radical_generators:
-            a = A.basis[i]
-            v, v2 = a.source, a.target
-            act, lam = m.action[i], x.left[i][w]
-            for p in range(m.dims[v]):
-                for t in range(x.dims[v2][w]):
-                    row = [f.zero()] * amb[w]
-                    for k in range(m.dims[v2]):
-                        c = act.rows[p][k]
-                        if c != 0:
-                            idx = offsets[w][v2] + k * x.dims[v2][w] + t
-                            row[idx] = f.add(row[idx], c)
-                    for s in range(x.dims[v][w]):
-                        c = lam.rows[t][s]
-                        if c != 0:
-                            idx = offsets[w][v] + p * x.dims[v][w] + s
-                            row[idx] = f.sub(row[idx], c)
-                    if any(e != 0 for e in row):
-                        rows.append(row)
-        p, s, q = quotient_with_section(f, amb[w], Subspace.from_rows(f, amb[w], rows))
+        rows = ref_balancing_rows(m, x, w, offsets, amb)
+        p, s, q = ref_quotient_with_section(f, amb[w], Subspace.from_rows(f, amb[w], rows))
         projs.append(p)
         sects.append(s)
         dims.append(q)
@@ -220,6 +236,31 @@ def random_submodule(m, rng):
     return generated_submodule(m, seeds)
 
 
+def check_tensor_quotient(m, x, monkeypatch):
+    """`tensor_quotient(m, x)` against the reference: the module, the
+    projections and, recorded on their way to `Subspace.from_rows`, the
+    balancing rows of each B-vertex, row for row and in the canonical form
+    of each entry.  Returns the reference's sections."""
+    seen = []
+
+    def recording(f, ambient, rows):
+        seen.append([list(r) for r in rows])
+        return Subspace.from_rows(f, ambient, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bimodule_layer, "Subspace", SimpleNamespace(from_rows=recording))
+        got = tensor_quotient(m, x)
+    module, projs, sects, offsets, amb = ref_tensor_quotient(m, x)
+    same_module(got.module, module)
+    assert (got.projs, got.offsets, got.ambient_dims) == (projs, offsets, amb)
+    assert len(seen) == len(amb)
+    for w, rows in enumerate(seen):
+        assert same(rows, ref_balancing_rows(m, x, w, offsets, amb), x.field)
+    # the canonical section picks exactly the free indices
+    assert [sorted(free) for free in got.free] == [[row.index(1) for row in s.rows] for s in sects]
+    assert all(canonical(x.field, e) for mx in [*got.projs, *got.module.action.values()] for r in mx.rows for e in r)
+
+
 def same_module(got, want):
     assert got.algebra.same_as(want.algebra)
     assert got.fingerprint == want.fingerprint
@@ -235,22 +276,35 @@ def same_map(got, want):
 
 
 @pytest.mark.parametrize("label, make", CASES, ids=[label for label, _ in CASES])
-def test_bimodule_functors_match_module_object_reference(label, make):
+def test_bimodule_functors_match_module_object_reference(label, make, monkeypatch):
     x = make()
     rng = random.Random(label)
     for m in sample_modules(x.left_algebra, rng):
-        got = tensor_quotient(m, x)
-        module, projs, sects, offsets, amb = ref_tensor_quotient(m, x)
-        same_module(got.module, module)
-        assert (got.projs, got.offsets, got.ambient_dims) == (projs, offsets, amb)
-        # the canonical section picks exactly the free indices
-        assert [sorted(free) for free in got.free] == [[row.index(1) for row in s.rows] for s in sects]
+        check_tensor_quotient(m, x, monkeypatch)
         if not m.is_zero:
             spaces = random_submodule(m, rng)
             for fmap in (submodule(m, spaces)[1], quotient_module(m, spaces)[1]):
                 same_map(tensor_with_bimodule_map(fmap, x), ref_tensor_with_bimodule_map(fmap, x))
     for n in sample_modules(x.right_algebra, rng):
         same_module(hom_from_bimodule(x, n), ref_hom_from_bimodule(x, n))
+
+
+@pytest.mark.parametrize("fld", (Q, F3, FieldSpec(5)), ids=lambda f: f.name())
+def test_tensor_over_a_loop_with_fraction_actions(fld, monkeypatch):
+    """k[x]/x^2 acting with nonzero diagonals: the balancing relation of
+    (p, t) puts rho_M(x)[p][p] and -lam(x)[t][t] into one entry, the only
+    way both terms meet.  Over Q they sum to integral Fractions (3/2 - 1/2,
+    -3/2 + 1/2), which must come out as ints."""
+    loop = build_algebra(Quiver(("1",), (Arrow("x", "1", "1"),)), [RelationExpr(((None, ("x", "x")),))], fld, name="loop")
+    x = loop.arrow_basis_index("x")
+
+    def mat(rows):
+        return Matrix(fld, [[fld.parse(e) for e in r.split()] for r in rows])
+
+    nil = mat(["1/2 1/4", "-1 -1/2"])
+    bimod = Bimodule(loop, loop, [[2]], {x: {0: nil}}, {x: {0: nil}})
+    for act in (["3/2 9/4", "-1 -3/2"], ["0 1", "0 0"], ["1/2 1/4", "-1 -1/2"]):
+        check_tensor_quotient(RightModule(loop, [2], {x: mat(act)}), bimod, monkeypatch)
 
 
 def ref_is_projective_module(m):

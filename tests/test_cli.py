@@ -171,6 +171,47 @@ def test_recollement_map(capsys):
     assert "dim 1 0 0" in out
 
 
+THIN_OVER = {
+    "i_*": "the quotient Abar = A/AeA (a3.mod_ideal(2,3))",
+    "j_!": "the corner Atilde = eAe (a3.corner(2,3))",
+    "j_*": "the corner Atilde = eAe (a3.corner(2,3))",
+}
+
+
+@pytest.mark.parametrize("functor", sorted(THIN_OVER))
+def test_recollement_map_names_the_algebra_a_thin_module_needs(functor, capsys):
+    """i_* reads its module over Abar, j_! and j_* over Atilde; neither has
+    declared arrows, so thin: is an input error that says where to look."""
+    code, out, _ = run(
+        capsys, "--json", "recollement", "map", str(FIXDIR / "a3.alg"), "thin:1",
+        "--idempotent", "2,3", "--functor", functor,
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        f"thin: modules need declared arrows, and this module is read over {THIN_OVER[functor]}, "
+        "which has none; use simple:, proj: or inj: there"
+    )
+    code, _, _ = run(
+        capsys, "recollement", "map", str(FIXDIR / "a3.alg"), "simple:1" if functor == "i_*" else "proj:2",
+        "--idempotent", "2,3", "--functor", functor,
+    )
+    assert code == 0
+
+
+def test_recollement_thm_names_the_algebra_of_a_sequence_file(tmp_path, capsys):
+    (tmp_path / "bar.seq").write_text("simple:1\n")
+    (tmp_path / "til.seq").write_text("thin:2\n")
+    (tmp_path / "thin_bar.seq").write_text("thin:1\n")
+    (tmp_path / "til_ok.seq").write_text("proj:2\nsimple:2\n")
+    for bar, til, over in (("bar", "til", THIN_OVER["j_!"]), ("thin_bar", "til_ok", THIN_OVER["i_*"])):
+        code, _, err = run(
+            capsys, "recollement", "thm", str(FIXDIR / "a3.alg"), str(tmp_path / f"{bar}.seq"),
+            str(tmp_path / f"{til}.seq"), "--idempotent", "2,3",
+        )
+        assert code == 1
+        assert f"read over {over}, which has none" in err
+
+
 def test_recollement_thm(tmp_path, capsys):
     sbar = tmp_path / "bar.seq"
     sbar.write_text("simple:1\n")

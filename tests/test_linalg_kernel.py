@@ -7,7 +7,10 @@ single form of each value (over Q an int when integral).
 Kernels, ranks and solutions are now read from the free columns of one
 transform-free elimination; the reference reads them, as the code it
 replaced did, from an RREF with an appended transform.  `hom_basis` is
-compared map for map with a reference copy of its transform-based form."""
+compared map for map with a reference copy of its transform-based form.
+The quotient projection is now read off the subspace's RREF rows; the
+reference reduces one unit vector per ambient index, as the code it
+replaced did."""
 
 import itertools
 import random
@@ -21,7 +24,16 @@ from test_modules import conjugated_sum
 from exrep.algebra import corner_algebra, quotient_by_idempotent_ideal
 from exrep.fields import FieldSpec
 from exrep.goldens import bundled_algebra
-from exrep.linalg import LinalgError, Matrix, Subspace, left_kernel, matrix_rank, rref, solve_right
+from exrep.linalg import (
+    LinalgError,
+    Matrix,
+    Subspace,
+    left_kernel,
+    matrix_rank,
+    quotient_with_section,
+    rref,
+    solve_right,
+)
 from exrep.modules import ModuleMap, hom_basis
 
 FIELDS = (FieldSpec(None), FieldSpec(2), FieldSpec(3), FieldSpec(5))
@@ -126,6 +138,23 @@ def ref_rank_kernel_image(m: Matrix):
     rank = len(piv)
     kernel, kpiv = ref_canonical_rows(m.field, U[rank:], m.nrows)
     return rank, kernel, kpiv, R[:rank], piv
+
+
+def ref_quotient_with_section(f: FieldSpec, ambient: int, w: Subspace) -> tuple[Matrix, Matrix, int]:
+    """(projection, section, q): projection row i is e_i reduced by w's
+    echelon basis, read on the free columns; the section picks the free
+    indices."""
+    free = [c for c in range(ambient) if c not in w.pivots]
+    proj = []
+    for i in range(ambient):
+        v = [f.one() if j == i else f.zero() for j in range(ambient)]
+        for row, piv in zip(w.basis.rows, w.pivots):
+            c = v[piv]
+            if c != 0:
+                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        proj.append([v[c] for c in free])
+    sect = [[f.one() if j == c else f.zero() for j in range(ambient)] for c in free]
+    return Matrix(f, proj, ambient, len(free)), Matrix(f, sect, len(free), ambient), len(free)
 
 
 def ref_solve_right(a: Matrix, b: Matrix):
@@ -413,3 +442,36 @@ def test_solve_right_and_reduce_vector_agree_with_reference_rref(ab):
     for row in b.rows:
         reduced = image.reduce_vector(row)
         assert all(canonical(f, e) and e == 0 for e in reduced)
+
+
+def seeded_subspaces():
+    """Subspaces over Q, F2, F3 and F5 from seeded row lists: the zero and
+    full subspaces, ambient 0, rank-deficient spans and Fraction entries."""
+    out = []
+    for f in FIELDS:
+        out += [(f, 0, []), (f, 4, []), (f, 4, Matrix.identity(f, 4).rows)]
+        rng = random.Random(f.name())
+        for _ in range(30):
+            ambient = rng.randint(1, 7)
+
+            def entry():
+                if f.p is not None:
+                    return rng.choice([0, 0, rng.randrange(f.p)])
+                return rng.choice([0, 0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+
+            rows = [[entry() for _ in range(ambient)] for _ in range(rng.randint(1, ambient + 1))]
+            if rng.random() < 0.3:  # a repeated combination: rank below the row count
+                rows.append([f.add(x, y) for x, y in zip(rows[0], rows[-1])])
+            out.append((f, ambient, rows))
+    out.append((FIELDS[0], 3, [[2, Fraction(1, 2), Fraction(-3, 4)], [0, 3, Fraction(5, 3)]]))
+    return out
+
+
+@pytest.mark.parametrize("f, ambient, rows", seeded_subspaces())
+def test_quotient_with_section_matches_reduce_loop_reference(f, ambient, rows):
+    w = Subspace.from_rows(f, ambient, Matrix(f, rows, len(rows), ambient).rows)
+    proj, sect, q = quotient_with_section(f, ambient, w)
+    want_proj, want_sect, want_q = ref_quotient_with_section(f, ambient, w)
+    assert q == want_q == ambient - w.dim
+    assert (proj.nrows, proj.ncols, sect.nrows, sect.ncols) == (ambient, q, q, ambient)
+    assert same(proj.rows, want_proj.rows, f) and same(sect.rows, want_sect.rows, f)

@@ -6,7 +6,7 @@ import pytest
 
 import exrep.recollements as recollements
 from exrep.fields import RATIONALS
-from exrep.goldens import bundled_algebra
+from exrep.goldens import bundled_algebra, criterion_property_suite
 from exrep.linalg import Matrix
 from exrep.modules import (
     ModuleError,
@@ -216,7 +216,7 @@ HOM_TABLE_CASES = [(name, eps) for name in ("a3", "a42") for eps in (("1",), ("2
 
 def laws_without_hom_table(rec, samples, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(recollements, "_hom_table", lambda: hom_dim)
+        patch.setattr(recollements, "_hom_table", lambda dims: hom_dim)
         return verify_recollement_laws(rec, samples, seed=11)
 
 
@@ -231,8 +231,8 @@ def test_hom_table_gives_the_plain_report(name, eps, monkeypatch):
     samples = thins(alg) + [direct_sum([simple_module(alg, v) for v in sup]) for sup in (("1", "2"), ("2", "3"))]
     table, calls = recollements._hom_table, []
 
-    def checked_table():
-        dim = table()
+    def checked_table(dims):
+        dim = table(dims)
 
         def checked(m, n):
             got = dim(m, n)
@@ -270,6 +270,66 @@ def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
     assert table.failures == plain.failures
     failed = {f.law for f in table.failures}
     assert {"adjunction (j^*, j_*)", "j_* fully faithful"} <= failed
+
+
+SUITE_EPS = (("1",), ("2",), ("3",), ("2", "3"))
+
+
+def record_solves(patch) -> list:
+    """Make the law checker's hom_dim record the memo keys of each pair it solves."""
+    calls = []
+
+    def counting(m, n):
+        calls.append((m.memo_key, n.memo_key))
+        return hom_dim(m, n)
+
+    patch.setattr(recollements, "hom_dim", counting)
+    return calls
+
+
+def test_shared_hom_table_gives_the_fresh_reports(monkeypatch):
+    """The property suite's eight law checks (a3 and a42, the same thin
+    samples, four idempotent sets each) share one Hom table: each report is
+    exactly the one a fresh table gives, and no pair is solved twice."""
+    cases = [(bundled_algebra(name), eps) for name in ("a3", "a42") for eps in SUITE_EPS]
+    shared: dict = {}
+    with monkeypatch.context() as patch:
+        calls = record_solves(patch)
+        got = [verify_recollement_laws(build_recollement(alg, eps), thins(alg), seed=7, hom_dims=shared)
+               for alg, eps in cases]
+    fresh = [verify_recollement_laws(build_recollement(alg, eps), thins(alg), seed=7) for alg, eps in cases]
+    for g, f in zip(got, fresh):
+        assert (g.checked, g.failures, g.notes) == (f.checked, f.failures, f.notes)
+        assert g.ok
+    # one entry per solve, keyed by the two memo keys
+    assert len(calls) == len(set(calls)) and set(calls) == set(shared)
+
+
+def test_property_suite_solves_each_law_pair_once(monkeypatch):
+    """`criterion_property_suite` passes one Hom table to its eight law checks."""
+    calls = record_solves(monkeypatch)
+    assert criterion_property_suite().ok
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_shared_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
+    """A table already filled by a clean check must not hide a planted wrong
+    j_* (value plus S(1)) from the next check that shares it."""
+    shared: dict = {}
+    assert verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11, hom_dims=shared).ok
+    filled = len(shared)
+    apply = recollements.Recollement.apply
+
+    def planted(self, kind, m):
+        out = apply(self, kind, m)
+        return direct_sum([out, simple_module(self.A, "1")]) if kind == J_STAR else out
+
+    monkeypatch.setattr(recollements.Recollement, "apply", planted)
+    got = verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11, hom_dims=shared)
+    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3), monkeypatch)
+    assert got.failures == plain.failures
+    assert {"adjunction (j^*, j_*)", "j_* fully faithful"} <= {f.law for f in got.failures}
+    assert len(shared) > filled
 
 
 def test_corner_bimodules_are_built_on_first_use(a3):
