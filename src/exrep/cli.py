@@ -320,7 +320,10 @@ def cmd_recollement(args) -> int:
 
 def cmd_enumerate(args) -> int:
     a = load_algebra(args.algebra)
-    cfg = EnumerationConfig(field=field_from_name(args.field), dim_bound=args.dim_bound, budget=args.budget)
+    try:
+        cfg = EnumerationConfig(field=field_from_name(args.field), dim_bound=args.dim_bound, budget=args.budget)
+    except ValueError as e:
+        raise CliError(str(e)) from None
     if args.what == "bricks":
         result = enumerate_bricks(a, cfg)
         payload = {

@@ -460,6 +460,17 @@ def _entry_key(m: RightModule) -> tuple:
     return tuple(x for i in m.algebra.radical_indices for row in m.action[i].rows for x in row)
 
 
+def _tits_form(algebra: Algebra, dims) -> int:
+    """t(d) = sum_v d_v^2 - sum_g d_s(g) d_t(g), g over the radical generators.
+
+    For every module M of dimension vector d, dim End M >= t(d): End M is the
+    kernel of the intertwining system `_hom_kernel` writes for (M, M), which
+    has sum_v d_v^2 unknowns and d_s(g) d_t(g) equations per generator g.
+    """
+    b = algebra.basis
+    return sum(d * d for d in dims) - sum(dims[b[g].source] * dims[b[g].target] for g in algebra.radical_generators)
+
+
 def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationResult:
     """All bricks with vertex dimensions <= dim_bound, up to isomorphism.
 
@@ -469,11 +480,13 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
     radical basis element is a generator between distinct vertices, its
     matrix is fixed to each rank normal form N_r; every isomorphism class
     meets that slice, because GL at the two end vertices moves the matrix to
-    N_r.  Each candidate is checked against the module axioms, then by the
-    brick test, then deduplicated with iso_test.  Each class is represented
-    by its point with the least `_entry_key`, which has N_r as first matrix
-    and so lies in the slice.  Output is ordered by dimension vector, then
-    matrix entries.  The budget counts candidates.
+    N_r.  Each candidate is checked in four steps: the module axioms; the
+    Tits bound, which rejects it without a Hom solve when t(d) >= 2
+    (`_tits_form`: dim End M >= t(d), so M is no brick); the brick test, a
+    solve of End M; and deduplication with iso_test.  Each class is represented by its point
+    with the least `_entry_key`, which has N_r as first matrix and so lies
+    in the slice.  Output is ordered by dimension vector, then matrix
+    entries.  The budget counts candidates, whatever step rejects them.
     """
     if cfg.field.is_rational:
         raise ModuleError("enumeration needs a prime field; use e.g. F2 and re-verify over Q")
@@ -495,6 +508,7 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
             if sum(dims) == 0:
                 continue
             shapes = [(g, dims[work.basis[g].source], dims[work.basis[g].target]) for g in free]
+            tits = _tits_form(work, dims)
             entry_slots = sum(r * c for _, r, c in shapes)
             pins = [{}]
             if pinned is not None:
@@ -513,7 +527,7 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
                     m = module_from_generators(work, dims, action)
                 except ModuleError:
                     continue
-                if not brick_report(m)[1]:
+                if tits >= 2 or not brick_report(m)[1]:
                     continue
                 twin = next(
                     (

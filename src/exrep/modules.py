@@ -552,7 +552,6 @@ def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 3
     if not f.is_rational:
         p = f.p
         total = p ** len(basis)
-        count = 0
         exhaustive = total <= budget
         for idx in range(1, min(total, budget + 1)):
             coeffs = []
@@ -560,7 +559,6 @@ def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 3
             for _ in basis:
                 coeffs.append(t % p)
                 t //= p
-            count += 1
             cand = combine(coeffs)
             if cand.is_invertible():
                 return IsoResult(cand, True)
@@ -581,7 +579,6 @@ def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 3
 def submodule(m: RightModule, spaces: list[Subspace]) -> tuple[RightModule, ModuleMap]:
     """The submodule with the given per-vertex subspaces (must be stable)."""
     a = m.algebra
-    f = m.field
     dims = [s.dim for s in spaces]
     action = {}
     for i in a.radical_indices:

@@ -5,20 +5,28 @@ first generator to a rank normal form.  `_reference_enumerate_bricks` below
 is the search it replaced: one matrix per radical basis element, every
 point of each GL-orbit, in entry order.  Where the reference completes
 within its budget, both must return the same bricks, entry for entry.
+
+`enumerate_bricks` also rejects, without solving End M, every candidate on
+a dimension vector with Tits form t(d) >= 2.  `_unpruned_enumerate_bricks`
+is the same slice search with a Hom solve for every axiom-valid candidate;
+both must return the same bricks and draw the same number of candidates.
 """
 
 import itertools
 
 import pytest
 
+from exrep import exceptional
 from exrep.algebra import build_algebra, corner_algebra, quotient_by_idempotent_ideal
 from exrep.exceptional import (
     BudgetExceeded,
     EnumerationConfig,
     EnumerationResult,
     _canonical_module_key,
+    _entry_key,
     _rank_normal_forms,
     _refield,
+    _tits_form,
     enumerate_bricks,
 )
 from exrep.fields import F2, FieldSpec
@@ -82,6 +90,68 @@ def _reference_enumerate_bricks(algebra, cfg):
         notes.append(f"candidate budget {cfg.budget} exceeded; result is a partial list")
     bricks.sort(key=_canonical_module_key)
     return EnumerationResult(bricks, complete, notes)
+
+
+def _unpruned_enumerate_bricks(algebra, cfg):
+    """The slice search with no Tits bound: every axiom-valid candidate goes
+    through the brick test."""
+    if cfg.field.is_rational:
+        raise ModuleError("enumeration needs a prime field; use e.g. F2 and re-verify over Q")
+    work = _refield(algebra, cfg.field)
+    if work.is_zero:
+        return EnumerationResult([], True)
+    f = cfg.field
+    elements = [f.from_int(k) for k in range(f.p)]
+    gens = work.radical_generators
+    first = work.radical_indices[0] if work.radical_indices else None
+    pinned = first if first in gens and work.basis[first].source != work.basis[first].target else None
+    free = [g for g in gens if g != pinned]
+    bricks = []
+    notes = []
+    count = 0
+    complete = True
+    try:
+        for dims in itertools.product(range(cfg.dim_bound + 1), repeat=work.n_vertices):
+            if sum(dims) == 0:
+                continue
+            shapes = [(g, dims[work.basis[g].source], dims[work.basis[g].target]) for g in free]
+            entry_slots = sum(r * c for _, r, c in shapes)
+            pins = [{}]
+            if pinned is not None:
+                b = work.basis[pinned]
+                pins = [{pinned: n} for n in _rank_normal_forms(f, dims[b.source], dims[b.target])]
+            for pin, assignment in itertools.product(pins, itertools.product(elements, repeat=entry_slots)):
+                count += 1
+                if count > cfg.budget:
+                    raise BudgetExceeded
+                action = dict(pin)
+                pos = 0
+                for g, r, c in shapes:
+                    action[g] = Matrix(f, [assignment[pos + k * c : pos + (k + 1) * c] for k in range(r)], r, c)
+                    pos += r * c
+                try:
+                    m = module_from_generators(work, dims, action)
+                except ModuleError:
+                    continue
+                if not brick_report(m)[1]:
+                    continue
+                twin = next(
+                    (
+                        k
+                        for k, rep in enumerate(bricks)
+                        if rep.dims == m.dims and iso_test(rep, m, budget=cfg.budget).isomorphic
+                    ),
+                    None,
+                )
+                if twin is None:
+                    bricks.append(m)
+                elif _entry_key(m) < _entry_key(bricks[twin]):
+                    bricks[twin] = m
+    except BudgetExceeded:
+        complete = False
+        notes.append(f"candidate budget {cfg.budget} exceeded; result is a partial list")
+    bricks.sort(key=_canonical_module_key)
+    return EnumerationResult(bricks, complete, notes, candidates=min(count, cfg.budget))
 
 
 def _reference_candidates(algebra, cfg, indices=None) -> int:
@@ -285,3 +355,70 @@ def test_module_from_generators_matches_arrow_maps(cycle3_ab):
             build()
     by_arrows, by_words = both(Matrix.from_int_rows(f, [[1, 0], [0, 0]]), Matrix.from_int_rows(f, [[0, 0], [1, 1]]), gamma)
     assert by_words().fingerprint == by_arrows().fingerprint
+
+
+# ---------------------------------------------------------------------------
+# the Tits bound against the unpruned slice search
+
+
+def _pruned_outcome(result):
+    return (*_outcome(result), result.notes, result.candidates)
+
+
+def _assert_matches_unpruned(algebra, cfg):
+    """Same bricks, entries, notes and candidate count with and without the
+    prune; returns the unpruned result."""
+    ref = _unpruned_enumerate_bricks(algebra, cfg)
+    assert _pruned_outcome(enumerate_bricks(algebra, cfg)) == _pruned_outcome(ref)
+    return ref
+
+
+@pytest.mark.parametrize("name,p,bound", FIXTURE_CASES)
+def test_fixture_bricks_match_unpruned_search(name, p, bound):
+    ref = _assert_matches_unpruned(bundled_algebra(name), EnumerationConfig(field=FieldSpec(p), dim_bound=bound))
+    assert ref.complete and ref.items
+    # no brick the full brick test finds lies where the bound rejects
+    assert all(_tits_form(m.algebra, m.dims) <= 1 for m in ref.items)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_linear_a_matches_unpruned_search(n):
+    ref = _assert_matches_unpruned(_linear_a(n), EnumerationConfig(field=F2, dim_bound=1))
+    assert ref.complete and len(ref.items) == n * (n + 1) // 2
+
+
+# corners whose radical has a generator of path degree 2: alpha*beta in
+# e A e for e = e_1 + e_3 over a3, where a bound that counted only arrows
+# would reject the brick of dimension vector (1, 1)
+DEGREE_TWO_CORNERS = [("a3", ("1", "3")), ("cycle3_ab", ("2", "3"))]
+
+
+@pytest.mark.parametrize("name,eps", DEGREE_TWO_CORNERS)
+def test_degree_two_corners_match_unpruned_search(name, eps):
+    corner, _ = corner_algebra(bundled_algebra(name), eps)
+    assert any(corner.basis[g].degree == 2 for g in corner.radical_generators)
+    for p, bound in itertools.product((2, 3), (1, 2)):
+        ref = _assert_matches_unpruned(corner, EnumerationConfig(field=FieldSpec(p), dim_bound=bound))
+        assert ref.complete and any(sum(m.dims) >= 2 for m in ref.items)
+
+
+def test_budget_cut_matches_unpruned_search(a3):
+    ref = _assert_matches_unpruned(a3, EnumerationConfig(budget=11))
+    assert not ref.complete and ref.candidates == 11
+
+
+def test_bound_skips_the_hom_solve(monkeypatch, a3, a3_ab):
+    # the two cases of the bricks-fp benchmark: only the 23 axiom-valid
+    # candidates on vectors with t(d) <= 1 reach the brick test (524 without
+    # the bound)
+    tested = []
+
+    def counting(m):
+        tested.append(_tits_form(m.algebra, m.dims))
+        return brick_report(m)
+
+    monkeypatch.setattr(exceptional, "brick_report", counting)
+    for algebra, fld in ((a3, F2), (a3_ab, FieldSpec(3))):
+        enumerate_bricks(algebra, EnumerationConfig(field=fld, dim_bound=2))
+    assert tested and max(tested) <= 1
+    assert len(tested) == 23

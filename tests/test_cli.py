@@ -245,6 +245,20 @@ def test_enumerate_ces_budget_error(capsys):
     assert payload["status"] == "error" and payload["complete"] is False
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--budget", "0", "budget must be positive"), ("--dim-bound", "-1", "dim_bound must be >= 0")],
+)
+@pytest.mark.parametrize("what", ["bricks", "ces"])
+def test_enumerate_bad_limits_are_input_errors(capsys, what, flag, value, message):
+    args = ("enumerate", what, str(FIXDIR / "a3.alg"), flag, value)
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "--json", *args)
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"status": "error", "error": message}
+
+
 def test_enumerate_json_deterministic(capsys):
     args = ("--json", "enumerate", "ces", str(FIXDIR / "a42.alg"))
     _, out1, _ = run(capsys, *args)
