@@ -9,8 +9,8 @@ multiplication is a map of rows" (`ModuleMap.commutes`), Hom out of X is read
 from the verified `_hom_kernel` rows of each row, and forgetting one side is a
 direct sum of rows or of columns.  Tensoring a right A-module with an
 (A,B)-bimodule and taking right-B-linear maps out of one are the two
-workhorses: together with restriction along an algebra surjection they
-realize every functor used by the split-extension and recollement layers.
+workhorses: together with restriction along an algebra map they realize
+every functor used by the split-extension and recollement layers.
 
 Conventions: for a left action by a: u -> u' the matrix lam(a)[w] sends the
 block X_{u',w} to X_{u,w} (row convention, so x.lam is "multiply by a on the
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra, AlgebraMorphismData, opposite_algebra
 from .linalg import Matrix, Subspace, _canon_row, mul_rows, quotient_with_section, solve_right
-from .modules import ModuleError, ModuleMap, RightModule, _hom_kernel, _side_by_side, direct_sum, zero_module
+from .modules import ModuleError, ModuleMap, RightModule, _hom_kernel, _rows_through, direct_sum, zero_module
 
 
 class BimoduleError(ValueError):
@@ -132,28 +132,30 @@ def algebra_as_bimodule(
     right_algebra: Algebra,
     left_transport: AlgebraMorphismData | None = None,
     right_transport: AlgebraMorphismData | None = None,
-    left_vertex_map: dict[int, int] | None = None,
-    right_vertex_map: dict[int, int] | None = None,
+    span: list[int] | None = None,
     name: str | None = None,
 ) -> Bimodule:
-    """The carrier algebra as an (L, R)-bimodule.
+    """The carrier algebra, or the span of some of its basis elements, as an
+    (L, R)-bimodule.
 
     Left/right transports send basis elements of the acting algebras into the
-    carrier (identity if omitted, for the carrier acting on itself); vertex
-    maps send acting-algebra vertices to carrier vertices (label match if
-    omitted).  Actions are carrier multiplication after transport.
+    carrier (identity if omitted, for the carrier acting on itself); acting
+    vertices match carrier vertices by label.  Actions are carrier
+    multiplication after transport.  `span` lists the carrier basis indices
+    that carry the bimodule (all of them if omitted); it must be a two-sided
+    ideal for the transported actions, and a product that leaves it raises
+    BimoduleError.
     """
     f = carrier.field
 
-    def _vmap(alg: Algebra, given) -> dict[int, int]:
-        if given is not None:
-            return given
+    def _vmap(alg: Algebra) -> dict[int, int]:
         return {vi: carrier.vertex_index(v) for vi, v in enumerate(alg.vertices) if v in carrier.vertices}
 
-    lmap = _vmap(left_algebra, left_vertex_map)
-    rmap = _vmap(right_algebra, right_vertex_map)
+    lmap = _vmap(left_algebra)
+    rmap = _vmap(right_algebra)
     members: dict[tuple[int, int], list[int]] = {}
-    for t, b in enumerate(carrier.basis):
+    for t in range(carrier.dim) if span is None else span:
+        b = carrier.basis[t]
         members.setdefault((b.source, b.target), []).append(t)
     pos = {t: k for mem in members.values() for k, t in enumerate(mem)}
 
@@ -164,41 +166,27 @@ def algebra_as_bimodule(
 
     dims = [[len(block(u, w)) for w in range(right_algebra.n_vertices)] for u in range(left_algebra.n_vertices)]
 
-    def transported(alg: Algebra, transport: AlgebraMorphismData | None, i: int) -> dict[int, object]:
-        if transport is None:
-            return {i: f.one()}
-        return transport.image_vec(i)
+    def actions(alg: Algebra, transport: AlgebraMorphismData | None, side: str, n_other: int, blocks, product):
+        out: dict[int, dict[int, Matrix]] = {}
+        for i in alg.radical_indices:
+            vec = {i: f.one()} if transport is None else transport.image_vec(i)
+            per = {}
+            for z in range(n_other):
+                src_block, dst_block = blocks(alg.basis[i], z)
+                m = Matrix.zeros(f, len(src_block), len(dst_block))
+                for r, t in enumerate(src_block):
+                    for k, c in product(vec, {t: f.one()}).items():
+                        if k not in pos:
+                            raise BimoduleError(f"span is not a {side} ideal: {carrier.basis_label(k)} leaves it")
+                        m.rows[r][pos[k]] = c
+                per[z] = m
+            out[i] = per
+        return out
 
-    left: dict[int, dict[int, Matrix]] = {}
-    for i in left_algebra.radical_indices:
-        a = left_algebra.basis[i]
-        vec = transported(left_algebra, left_transport, i)
-        per_w = {}
-        for w in range(right_algebra.n_vertices):
-            src_block = block(a.target, w)
-            dst_block = block(a.source, w)
-            m = Matrix.zeros(f, len(src_block), len(dst_block))
-            for r, t in enumerate(src_block):
-                prod = carrier.mult_vec(vec, {t: f.one()})
-                for k, c in prod.items():
-                    m.rows[r][pos[k]] = c
-            per_w[w] = m
-        left[i] = per_w
-    right: dict[int, dict[int, Matrix]] = {}
-    for j in right_algebra.radical_indices:
-        b = right_algebra.basis[j]
-        vec = transported(right_algebra, right_transport, j)
-        per_u = {}
-        for u in range(left_algebra.n_vertices):
-            src_block = block(u, b.source)
-            dst_block = block(u, b.target)
-            m = Matrix.zeros(f, len(src_block), len(dst_block))
-            for r, t in enumerate(src_block):
-                prod = carrier.mult_vec({t: f.one()}, vec)
-                for k, c in prod.items():
-                    m.rows[r][pos[k]] = c
-            per_u[u] = m
-        right[j] = per_u
+    left = actions(left_algebra, left_transport, "left", right_algebra.n_vertices,
+                   lambda a, w: (block(a.target, w), block(a.source, w)), carrier.mult_vec)
+    right = actions(right_algebra, right_transport, "right", left_algebra.n_vertices,
+                    lambda b, u: (block(u, b.source), block(u, b.target)), lambda vec, t: carrier.mult_vec(t, vec))
     return Bimodule(
         left_algebra,
         right_algebra,
@@ -239,7 +227,7 @@ def tensor_quotient(m: RightModule, x: Bimodule) -> TensorQuotient:
     """
     A, B = x.left_algebra, x.right_algebra
     if not m.algebra.same_as(A):
-        raise ModuleError("tensor: module is not over the bimodule's left algebra")
+        raise ModuleError(f"tensor: module is over {m.algebra.name}, expected {A.name}")
     f = x.field
     nv, nw = A.n_vertices, B.n_vertices
     offsets: list[list[int]] = []
@@ -350,7 +338,7 @@ def hom_from_bimodule(x: Bimodule, n: RightModule) -> RightModule:
     """
     A, B = x.left_algebra, x.right_algebra
     if not n.algebra.same_as(B):
-        raise ModuleError("hom: module is not over the bimodule's right algebra")
+        raise ModuleError(f"hom: module is over {n.algebra.name}, expected {B.name}")
     f = x.field
     kernels = [_hom_kernel(row, n) for row in x.rows]
     dims = [len(rows) for _, rows in kernels]
@@ -362,15 +350,7 @@ def hom_from_bimodule(x: Bimodule, n: RightModule) -> RightModule:
         if not rows:
             action[i] = Matrix.zeros(f, 0, dims[u2])
             continue
-        moved = [[] for _ in rows]
-        for w, o in enumerate(offsets):
-            dn, lam = n.dims[w], x.left[i][w]
-            if not dn or not lam.nrows:
-                continue
-            prod = mul_rows(f.p, lam.rows, _side_by_side(rows, o, x.dims[u][w], dn), len(rows) * dn)
-            for j, out in enumerate(moved):
-                for pr in prod:
-                    out += pr[j * dn : (j + 1) * dn]
+        moved = _rows_through(f.p, x.left[i], rows, offsets, n.dims)
         width = sum(d * e for d, e in zip(x.dims[u2], n.dims))
         target = Matrix._adopt(f, kernels[u2][1], dims[u2], width)
         sol = solve_right(target, Matrix(f, moved, len(rows), width))
@@ -393,14 +373,17 @@ def right_module_of(x: Bimodule) -> RightModule:
 
 
 def restrict_along_surjection(m: RightModule, morph: AlgebraMorphismData) -> RightModule:
-    """Pull a module over the target of an algebra surjection back to the source.
+    """Pull a module over the target of an algebra map back to the source.
 
-    Source basis elements act as their images; the kernel acts as zero.
-    Vertices of the target must be a (label-preserving) subset of the source's.
+    The map may be any algebra map that matches vertices by label: the
+    quotient maps xi and pi (whose kernels act as zero) or a corner inclusion
+    (whose source vertices are some of the target's, so restricting keeps
+    their spaces).  Source basis elements act as their images; a source
+    vertex missing from the target carries the zero space.
     """
     src, tgt = morph.source, morph.target
     if not m.algebra.same_as(tgt):
-        raise ModuleError("restriction: module is not over the morphism target")
+        raise ModuleError(f"restriction: module is over {m.algebra.name}, expected {tgt.name}")
     f = src.field
     tgt_index = {v: i for i, v in enumerate(tgt.vertices)}
     dims = [m.dims[tgt_index[v]] if v in tgt_index else 0 for v in src.vertices]

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .algebra import AlgebraError, build_algebra, verify_algebra_axioms
+from .bimodules import BimoduleError
 from .exceptional import (
     EnumerationConfig,
     check_recollement_theorem,
@@ -41,7 +42,7 @@ from .modules import (
     module_from_arrow_maps,
 )
 from .quiver import QuiverError
-from .recollements import RECOLLEMENT_FUNCTORS, build_recollement, verify_recollement_laws
+from .recollements import RECOLLEMENT_FUNCTORS, RecollementError, build_recollement, verify_recollement_laws
 from .split_extensions import SPLIT_FUNCTORS, SplitExtensionError, build_split_extension
 
 OK, NEGATIVE, ERROR = 0, 2, 1
@@ -473,7 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, AlgebraError, ModuleError, SplitExtensionError, FieldError, CliError) as e:
+    except (ParseError, AlgebraError, ModuleError, SplitExtensionError, BimoduleError, RecollementError,
+            QuiverError, FieldError, CliError) as e:
         payload = {"status": "error", "error": str(e)}
         if getattr(args, "json", False):
             print(json.dumps(payload, indent=2))

@@ -341,16 +341,12 @@ def check_recollement_theorem(
         conclusions=[rep_i, rep_j],
         image_dims=[m.dims for m in images_i + images_j],
     )
-    for k, (x, fx) in enumerate(zip(res_x, res_fx)):
-        lhs = fx.ext(fx.module, identity_n_max).dims
-        rhs = x.ext(x.module, identity_n_max).dims
-        if lhs != rhs:
-            rep.notes.append(f"dimension identity fails for i_* at position {k + 1}: {lhs} vs {rhs}")
-    for k, (y, fy) in enumerate(zip(res_y, res_fy)):
-        lhs = fy.ext(fy.module, identity_n_max).dims
-        rhs = y.ext(y.module, identity_n_max).dims
-        if lhs != rhs:
-            rep.notes.append(f"dimension identity fails for j_! at position {k + 1}: {lhs} vs {rhs}")
+    for functor, sources, images in ((I_STAR, res_x, res_fx), (J_LOWER, res_y, res_fy)):
+        for k, (x, fx) in enumerate(zip(sources, images)):
+            lhs = fx.ext(fx.module, identity_n_max).dims
+            rhs = x.ext(x.module, identity_n_max).dims
+            if lhs != rhs:
+                rep.notes.append(f"dimension identity fails for {functor} at position {k + 1}: {lhs} vs {rhs}")
     if rep.implication_violated:
         rep.notes.append("implication violated: exact certificates with failing image sequence")
     if not rep.hypotheses_hold:

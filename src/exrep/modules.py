@@ -440,6 +440,23 @@ def _side_by_side(rows: list[list], o: int, dm: int, dn: int) -> list[list]:
     return [[x for row in rows for x in row[o + r * dn : o + (r + 1) * dn]] for r in range(dm)]
 
 
+def _rows_through(p, mats, rows: list[list], offsets: list[int], dims: list[int]) -> list[list]:
+    """Each flattened map h in rows (block v at offsets[v], mats[v].ncols x
+    dims[v]) multiplied on the left by mats: the flattened blocks mats[v].h_v,
+    concatenated over v.  One product per v, with the v-blocks of all rows
+    side by side; a v with no rows in mats[v] or no columns adds nothing."""
+    moved = [[] for _ in rows]
+    for v, o in enumerate(offsets):
+        dn, mat = dims[v], mats[v]
+        if not dn or not mat.nrows:
+            continue
+        prod = mul_rows(p, mat.rows, _side_by_side(rows, o, mat.ncols, dn), len(rows) * dn)
+        for j, out in enumerate(moved):
+            for pr in prod:
+                out += pr[j * dn : (j + 1) * dn]
+    return moved
+
+
 def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
     """Canonical basis of Hom(M, N) as maps: the rows of `_hom_kernel`,
     already checked on every radical basis element, cut into vertex blocks."""
@@ -917,17 +934,7 @@ def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int
         return 0, 0
     if n + 1 >= len(res.terms) or res.terms[n + 1].is_zero:
         return dim_n, 0
-    D = res.diffs[n + 1]
-    p = target.field.p
-    rows = [[] for _ in kernel]
-    for v, o in enumerate(offsets):
-        dt = target.dims[v]
-        if not dt or not D.mats[v].nrows:
-            continue
-        prod = mul_rows(p, D.mats[v].rows, _side_by_side(kernel, o, P_n.dims[v], dt), dim_n * dt)
-        for j, out in enumerate(rows):
-            for pr in prod:
-                out += pr[j * dt : (j + 1) * dt]
+    rows = _rows_through(target.field.p, res.diffs[n + 1].mats, kernel, offsets, target.dims)
     width = len(rows[0])
     if width == 0:
         return dim_n, 0

@@ -22,7 +22,7 @@ from .bimodules import (
     tensor_with_bimodule,
 )
 from .linalg import Matrix, Subspace
-from .modules import ModuleError, RightModule, is_projective_module
+from .modules import RightModule, is_projective_module
 
 
 class SplitExtensionError(ValueError):
@@ -52,7 +52,8 @@ class SplitExtension:
             a_into_r.rows[ai][ri] = r.field.one()
         self._section_transport = AlgebraMorphismData("corner", a, r, a_into_r)
         self.R_as_A_R = algebra_as_bimodule(r, a, r, left_transport=self._section_transport, name="R as (A,R)")
-        self.Q = self._build_q_bimodule()
+        self.Q = algebra_as_bimodule(r, a, a, self._section_transport, self._section_transport,
+                                     span=q_indices, name="Q")
         self.is_projective_left = is_projective_module(self.left_module_R())
 
     # built on first use; R as (A,R) and Q stay eager, since the constructor's
@@ -73,47 +74,6 @@ class SplitExtension:
     def dim_q(self) -> int:
         return len(self.q_indices)
 
-    def _build_q_bimodule(self) -> Bimodule:
-        """The kernel span as an (A,A)-bimodule inside R."""
-        r, a, f = self.R, self.A, self.R.field
-        members: dict[tuple[int, int], list[int]] = {}
-        for t in self.q_indices:
-            b = r.basis[t]
-            members.setdefault((b.source, b.target), []).append(t)
-        pos = {t: k for mem in members.values() for k, t in enumerate(mem)}
-        # A and R share vertex labels, in the same order
-        dims = [[len(members.get((u, w), [])) for w in range(a.n_vertices)] for u in range(a.n_vertices)]
-        left: dict[int, dict[int, Matrix]] = {}
-        right: dict[int, dict[int, Matrix]] = {}
-        for i in a.radical_indices:
-            ai = a.basis[i]
-            ri = self.section_indices[i]
-            per_w = {}
-            for w in range(a.n_vertices):
-                src = members.get((ai.target, w), [])
-                dst = members.get((ai.source, w), [])
-                mat = Matrix.zeros(f, len(src), len(dst))
-                for rr, t in enumerate(src):
-                    for k, c in r.mult(ri, t).items():
-                        if k not in pos:
-                            raise SplitExtensionError("kernel span is not a left ideal")
-                        mat.rows[rr][pos[k]] = c
-                per_w[w] = mat
-            left[i] = per_w
-            per_u = {}
-            for u in range(a.n_vertices):
-                src = members.get((u, ai.source), [])
-                dst = members.get((u, ai.target), [])
-                mat = Matrix.zeros(f, len(src), len(dst))
-                for rr, t in enumerate(src):
-                    for k, c in r.mult(t, ri).items():
-                        if k not in pos:
-                            raise SplitExtensionError("kernel span is not a right ideal")
-                        mat.rows[rr][pos[k]] = c
-                per_u[u] = mat
-            right[i] = per_u
-        return Bimodule(a, a, dims, left, right, name="Q")
-
     def left_module_R(self) -> RightModule:
         """R as a left A-module, realized as a right module over A^op."""
         return left_module_over_op(self.R_as_A_R)
@@ -128,16 +88,12 @@ class SplitExtension:
         if hit is not None:
             return hit
         if kind == TENSOR_UP:
-            _require_over(m, self.A)
             out = tensor_with_bimodule(m, self.R_as_A_R)
         elif kind == TENSOR_DOWN:
-            _require_over(m, self.R)
             out = tensor_with_bimodule(m, self.A_as_R_A)
         elif kind == HOM_UP:
-            _require_over(m, self.A)
             out = hom_from_bimodule(self.R_as_R_A, m)
         elif kind == HOM_DOWN:
-            _require_over(m, self.R)
             out = hom_from_bimodule(self.A_as_A_R, m)
         else:
             raise SplitExtensionError(f"unknown split-extension functor {kind!r}")
@@ -149,7 +105,6 @@ class SplitExtension:
         return restrict_along_surjection(m, self.xi)
 
     def tensor_with_Q(self, m: RightModule) -> RightModule:
-        _require_over(m, self.A)
         key = ("tensor-q", m.memo_key)
         hit = self._memo.get(key)
         if hit is None:
@@ -162,11 +117,6 @@ class SplitExtension:
             f"SplitExtension(R={self.R.name}, kernel={','.join(self.kernel_arrows)}, "
             f"dim Q={self.dim_q}, projective_left={self.is_projective_left})"
         )
-
-
-def _require_over(m: RightModule, alg: Algebra) -> None:
-    if not m.algebra.same_as(alg):
-        raise ModuleError(f"module is over {m.algebra.name}, expected {alg.name}")
 
 
 def build_split_extension(r: Algebra, kernel_arrows) -> SplitExtension:

@@ -212,6 +212,35 @@ def test_recollement_thm_names_the_algebra_of_a_sequence_file(tmp_path, capsys):
         assert f"read over {over}, which has none" in err
 
 
+UNKNOWN_KERNEL_ARROW = (
+    ("split-ext", "verify", str(FIXDIR / "a3.alg"), "--kernel-arrows", "delta"),
+    ("tensor", str(FIXDIR / "a3.alg"), "simple:1", "--kernel-arrows", "delta"),
+    ("check", "thm-split", str(FIXDIR / "a3.alg"), str(FIXDIR / "seq_a.seq"), "--kernel-arrows", "delta"),
+)
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_KERNEL_ARROW, ids=("split-ext", "tensor", "thm-split"))
+def test_unknown_kernel_arrow_is_an_input_error(argv, capsys):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out) == {"status": "error", "error": "unknown arrow 'delta'"}
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: unknown arrow 'delta'\n"
+
+
+@pytest.mark.parametrize("cmd", ("laws", "map"))
+def test_empty_idempotent_is_an_input_error(cmd, capsys):
+    extra = ("simple:1", "--functor", "j^*") if cmd == "map" else ()
+    argv = ("recollement", cmd, str(FIXDIR / "a3.alg"), *extra, "--idempotent", ",")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out) == {"status": "error", "error": "empty idempotent vertex set"}
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: empty idempotent vertex set\n"
+
+
 def test_recollement_thm(tmp_path, capsys):
     sbar = tmp_path / "bar.seq"
     sbar.write_text("simple:1\n")

@@ -162,12 +162,13 @@ def test_laws_catch_swapped_bimodule(a3):
     rec = build_recollement(a3, ("2", "3"))
     broken = copy.copy(rec)
     broken._memo = {}
-    from exrep.bimodules import algebra_as_bimodule
+    from exrep.bimodules import Bimodule
 
-    broken.eps_A = algebra_as_bimodule(
-        rec.A, rec.Atilde, rec.A,
-        left_transport=rec.corner_incl,
-        left_vertex_map={0: rec.A.vertex_index("3"), 1: rec.A.vertex_index("2")},
+    # the rows e_2.A and e_3.A of eps.A in swapped order, with no left action
+    x = rec.eps_A
+    broken.eps_A = Bimodule(
+        rec.Atilde, rec.A, [x.dims[1], x.dims[0]], {},
+        {j: {0: per_u[1], 1: per_u[0]} for j, per_u in x.right.items()},
         name="deliberately swapped",
     )
     rep = verify_recollement_laws(broken, thins(a3), seed=11)
