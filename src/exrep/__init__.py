@@ -50,6 +50,7 @@ from .modules import (
 )
 from .quiver import Arrow, Quiver, RelationExpr
 from .recollements import Recollement, build_recollement, verify_recollement_laws
+from .scope import computation_scope
 from .split_extensions import SplitExtension, build_split_extension
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -385,13 +385,22 @@ def restrict_along_surjection(m: RightModule, morph: AlgebraMorphismData) -> Rig
     if not m.algebra.same_as(tgt):
         raise ModuleError(f"restriction: module is over {m.algebra.name}, expected {tgt.name}")
     f = src.field
+    p = f.p
     tgt_index = {v: i for i, v in enumerate(tgt.vertices)}
     dims = [m.dims[tgt_index[v]] if v in tgt_index else 0 for v in src.vertices]
     action: dict[int, Matrix] = {}
     for i in src.radical_indices:
         b = src.basis[i]
-        mat = Matrix.zeros(f, dims[b.source], dims[b.target])
+        # sum c rho(k) over the image terms, accumulated in place on plain
+        # rows; an algebra map sends the radical into the radical, so every
+        # k is a radical basis element
+        rows = [[0] * dims[b.target] for _ in range(dims[b.source])]
         for k, c in morph.image_vec(i).items():
-            mat = mat.add(m.rho(k).scale(c))
-        action[i] = mat
+            for row, rk in zip(rows, m.action[k].rows):
+                for s, y in enumerate(rk):
+                    if y:
+                        row[s] += c * y
+        if p is not None:
+            rows = [[x % p for x in row] for row in rows]
+        action[i] = Matrix(f, rows, dims[b.source], dims[b.target])
     return RightModule(src, dims, action)

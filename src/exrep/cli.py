@@ -43,6 +43,7 @@ from .modules import (
 )
 from .quiver import QuiverError
 from .recollements import RECOLLEMENT_FUNCTORS, RecollementError, build_recollement, verify_recollement_laws
+from .scope import computation_scope
 from .split_extensions import SPLIT_FUNCTORS, SplitExtensionError, build_split_extension
 
 OK, NEGATIVE, ERROR = 0, 2, 1
@@ -473,7 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with computation_scope():
+            return args.func(args)
     except (ParseError, AlgebraError, ModuleError, SplitExtensionError, BimoduleError, RecollementError,
             QuiverError, FieldError, CliError) as e:
         payload = {"status": "error", "error": str(e)}

@@ -97,7 +97,7 @@ def _self_ext_check(src: Resolution, n_max: int) -> tuple[bool, bool, list[Witne
 
 def is_exceptional(m: RightModule, n_max: int = 24) -> ExceptionalReport:
     """Brick plus certified vanishing of all positive self-extensions."""
-    return _module_report(Resolution(m), n_max)
+    return _module_report(Resolution.of(m), n_max)
 
 
 def _module_report(src: Resolution, n_max: int) -> ExceptionalReport:
@@ -137,7 +137,7 @@ def _cross_vanishes(later: Resolution, earlier: RightModule, n_max: int, i: int,
 def is_exceptional_sequence(mods: list[RightModule], n_max: int = 24) -> ExceptionalReport:
     """Every member exceptional; for i < j the pair (M_i, M_j) has
     Hom(M_j, M_i) = 0 and certified Ext^n(M_j, M_i) = 0 for n >= 1."""
-    return _sequence_report([Resolution(m) for m in mods], n_max)
+    return _sequence_report([Resolution.of(m) for m in mods], n_max)
 
 
 def _sequence_report(resolutions: list[Resolution], n_max: int) -> ExceptionalReport:
@@ -269,7 +269,7 @@ def check_split_theorem(se: SplitExtension, mods: list[RightModule], n_max: int 
     for m in mods:
         if not m.algebra.same_as(a):
             raise ModuleError("sequence must live over the quotient algebra of the extension")
-    resolutions = [Resolution(m) for m in mods]
+    resolutions = [Resolution.of(m) for m in mods]
     hyp1_rep = _sequence_report(resolutions, n_max)
     hyp1 = HypothesisVerdict("sequence exceptional over A", hyp1_rep.verdict, hyp1_rep.certainty == CERTIFIED, hyp1_rep.witnesses)
     hyp2 = HypothesisVerdict("R projective as left A-module", se.is_projective_left, True)
@@ -314,8 +314,8 @@ def check_recollement_theorem(
     """Input exceptionality plus the exactness certificates; images i_*(X_k)
     and j_!(Y_k); dimension identities Ext^n(F M, F M) = Ext^n(M, M) for
     n <= identity_n_max."""
-    res_x = [Resolution(x) for x in seq_over_quotient]
-    res_y = [Resolution(y) for y in seq_over_corner]
+    res_x = [Resolution.of(x) for x in seq_over_quotient]
+    res_y = [Resolution.of(y) for y in seq_over_corner]
     in_i = _sequence_report(res_x, n_max)
     in_j = _sequence_report(res_y, n_max)
     hyp_xi = HypothesisVerdict(
@@ -328,8 +328,8 @@ def check_recollement_theorem(
     hyp_s = HypothesisVerdict("i^! exact (Abar projective as right A-module)", rec.ishriek_exact, True)
     images_i = [rec.apply(I_STAR, x) for x in seq_over_quotient]
     images_j = [rec.apply(J_LOWER, y) for y in seq_over_corner]
-    res_fx = [Resolution(fx) for fx in images_i]
-    res_fy = [Resolution(fy) for fy in images_j]
+    res_fx = [Resolution.of(fx) for fx in images_i]
+    res_fy = [Resolution.of(fy) for fy in images_j]
     rep_i = _sequence_report(res_fx, n_max)
     rep_i.images = [render_module(im, name=f"i_star_{k + 1}") for k, im in enumerate(images_i)]
     rep_j = _sequence_report(res_fy, n_max)
@@ -570,7 +570,7 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
     notes = list(brick_result.notes)
     # each brick is resolved once; its resolution serves its own check and all its pairs
     admitted = []
-    for src in map(Resolution, work_bricks):
+    for src in map(Resolution.of, work_bricks):
         rep = _module_report(src, n_max)
         if rep.verdict and rep.certainty == CERTIFIED:
             admitted.append(src)

@@ -38,6 +38,7 @@ from .modules import (
     top_and_cover,
 )
 from .recollements import build_recollement, verify_recollement_laws
+from .scope import computation_scope
 from .split_extensions import HOM_DOWN, HOM_UP, TENSOR_DOWN, TENSOR_UP, build_split_extension
 
 TABLE_ROWS = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
@@ -327,12 +328,11 @@ def criterion_property_suite() -> CriterionResult:
     # (iii) recollement laws on >= 3 idempotents for both base algebras
     a42 = bundled_algebra("a42")
     law_pairs = 0
-    hom_dims: dict = {}  # one Hom table for all eight checks
     for alg in (a3, a42):
         thins = thins_of(alg)
         for eps in (["1"], ["2"], ["3"], ["2", "3"]):
             rec = build_recollement(alg, eps)
-            rep = verify_recollement_laws(rec, thins, seed=7, hom_dims=hom_dims)
+            rep = verify_recollement_laws(rec, thins, seed=7)
             if not rep.ok:
                 problems.append(
                     f"(iii) laws fail over {alg.name} eps={eps}: {rep.failures[0].law}"
@@ -344,7 +344,7 @@ def criterion_property_suite() -> CriterionResult:
     # (iv) hereditary Euler-form oracle on all thin pairs over the path algebra
     thins3 = thins_of(a3)
     for m in thins3:
-        src = Resolution(m)
+        src = Resolution.of(m)
         for n in thins3:
             euler = sum(dm * dn for dm, dn in zip(m.dims, n.dims))
             euler -= m.dims[0] * n.dims[1]  # arrow 1 -> 2
@@ -357,7 +357,7 @@ def criterion_property_suite() -> CriterionResult:
     for alg in (a3, bundled_algebra("a3_ab"), cycle3, c3ab, a42):
         simples = [make_module(alg, f"simple:{v}") for v in alg.vertices]
         for m in thins_of(alg):
-            src = Resolution(m)
+            src = Resolution.of(m)
             padded_src = padded_resolution(m, alg.vertices[0])
             for n in simples:
                 minimal = src.ext(n, 4).dims
@@ -403,5 +403,8 @@ ALL_CRITERIA = [
 ]
 
 
+@computation_scope()
 def run_all() -> list[CriterionResult]:
+    """Every criterion, in one computation scope: the criteria share
+    resolutions, Hom and Ext reads, split extensions and recollements."""
     return [c() for c in ALL_CRITERIA]

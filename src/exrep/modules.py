@@ -34,6 +34,7 @@ from .linalg import (
     quotient_with_section,
     solve_right,
 )
+from .scope import scoped
 
 
 class ModuleError(ValueError):
@@ -473,7 +474,8 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
 
 
 def hom_dim(m: RightModule, n: RightModule) -> int:
-    return len(_hom_kernel(m, n)[1])
+    """dim Hom(M, N), solved once per pair in an open scope."""
+    return scoped("hom", lambda: (m.memo_key, n.memo_key), lambda: len(_hom_kernel(m, n)[1]))
 
 
 def brick_report(m: RightModule) -> tuple[int, bool]:
@@ -759,9 +761,8 @@ class Resolution:
     Growth stops at a zero syzygy.  The first syzygy isomorphic to an earlier
     one is recorded when it is found, so `status(k)` reports exactly what a
     fresh resolution of k steps reports, however far this one has grown.
-    One object serves every Ext read from its module: callers that read Ext
-    from one source into many targets hold it for the length of their
-    computation and pass it along.
+    One object serves every Ext read from its module: `Resolution.of` hands
+    out the one an open scope holds for the module (see `exrep.scope`).
     """
 
     def __init__(self, m: RightModule):
@@ -772,6 +773,11 @@ class Resolution:
         self.diffs: list[ModuleMap] = []
         self._scanned = 0  # syzygies 1.._scanned were compared with every earlier one
         self._period: Periodic | None = None
+
+    @classmethod
+    def of(cls, m: RightModule) -> "Resolution":
+        """The minimal resolution of m: one per module in an open scope."""
+        return scoped("resolutions", lambda: m.memo_key, lambda: cls(m))
 
     def steps(self) -> int:
         return len(self.terms)
@@ -835,7 +841,14 @@ class Resolution:
         return _ext_from_tower(self, n, n_max)
 
     def ext(self, n: RightModule, n_max: int = 8) -> ExtResult:
-        """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`."""
+        """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`.
+        In an open scope each (resolution, N, n_max) is read once; keying by
+        the resolution keeps a padded one apart from the minimal one.  Every
+        read gets its own copy of the dimensions."""
+        got = scoped("ext", lambda: (self, n.memo_key, n_max), lambda: self._ext(n, n_max))
+        return ExtResult(list(got.dims), got.certainty)
+
+    def _ext(self, n: RightModule, n_max: int) -> ExtResult:
         m = self.module
         if not m.algebra.same_as(n.algebra):
             raise ModuleError("ext between modules over different algebras")
@@ -877,7 +890,7 @@ def minimal_resolution(m: RightModule, max_steps: int = 24) -> ResolutionPrefix:
     Terms keep being computed up to max_steps even after periodicity is found,
     so callers can read as many covers as they asked for.
     """
-    return Resolution(m).prefix(max_steps)
+    return Resolution.of(m).prefix(max_steps)
 
 
 def is_projective_module(m: RightModule) -> bool:
@@ -966,7 +979,7 @@ def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
     isomorphism from the lead syzygy on).  This is the one-target case of
     `Resolution.ext`.
     """
-    return Resolution(m).ext(n, n_max)
+    return Resolution.of(m).ext(n, n_max)
 
 
 def padded_resolution(m: RightModule, pad_vertex: str) -> Resolution:

@@ -47,6 +47,7 @@ from .modules import (
     simple_module,
     submodule,
 )
+from .scope import computation_scope, scoped
 
 I_STAR = "i_*"
 I_UPPER_STAR = "i^*"
@@ -64,10 +65,10 @@ class RecollementError(ValueError):
 class Recollement:
     def __init__(self, algebra: Algebra, eps_vertices):
         self.A = algebra
-        eps = sorted({algebra.vertex_index(v) if isinstance(v, str) else int(v) for v in eps_vertices})
+        eps = _eps_indices(algebra, eps_vertices)
         if not eps:
             raise RecollementError("empty idempotent vertex set")
-        self.eps = tuple(eps)
+        self.eps = eps
         self.eps_labels = tuple(algebra.vertices[v] for v in eps)
         self.Abar, self.pi = quotient_by_idempotent_ideal(algebra, self.eps_labels)
         self.Atilde, self.corner_incl = corner_algebra(algebra, self.eps_labels)
@@ -136,8 +137,18 @@ class Recollement:
         )
 
 
+def _eps_indices(algebra: Algebra, eps_vertices) -> tuple[int, ...]:
+    return tuple(sorted({algebra.vertex_index(v) if isinstance(v, str) else int(v) for v in eps_vertices}))
+
+
 def build_recollement(algebra: Algebra, eps_vertices) -> Recollement:
-    return Recollement(algebra, eps_vertices)
+    """The recollement of the vertex set eps; in an open scope each
+    (algebra, eps) is built once, and its functor memos serve every caller."""
+    return scoped(
+        "builds",
+        lambda: (Recollement, algebra, _eps_indices(algebra, eps_vertices)),
+        lambda: Recollement(algebra, eps_vertices),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +197,8 @@ def _exactness_preserved(seq_small, seq_mid, seq_big, incl_mats, proj_mats) -> b
     return True
 
 
-def _hom_table(dims: dict | None = None):
-    """hom_dim, read once per (source, target) pair: the law checks meet the
-    same pair many times.  Keyed by `memo_key`s, so calls may share dims."""
-    dims = {} if dims is None else dims
-
-    def dim(m: RightModule, n: RightModule) -> int:
-        key = (m.memo_key, n.memo_key)
-        got = dims.get(key)
-        if got is None:
-            got = dims[key] = hom_dim(m, n)
-        return got
-
-    return dim
-
-
-def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: int = 0,
-                            hom_dims: dict | None = None) -> LawReport:
+@computation_scope()
+def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: int = 0) -> LawReport:
     """Check the recollement identities on the given sample modules over A.
 
     Samples over Abar and Atilde are derived through i^* and j^*.  Checked:
@@ -210,11 +206,11 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     dimension identities, full faithfulness, Im(i_*) <= Ker(j^*), exactness
     of i_* and j^* on short exact sequences cut from random submodules, and
     the conditional vanishing i^! j_! = 0 / i^* j_* = 0 under the exactness
-    certificates.  Calls may share one `hom_dims` table (see `_hom_table`).
+    certificates.  Runs in a computation scope (its own, or the caller's),
+    so each Hom pair the laws meet is solved once.
     """
     report = LawReport()
     rng = random.Random(seed)
-    hom = _hom_table(hom_dims)
     samples_bar = [rec.apply(I_UPPER_STAR, m) for m in samples]
     samples_bar += [simple_module(rec.Abar, v) for v in rec.Abar.vertices]
     samples_til = [rec.apply(J_UPPER_STAR, m) for m in samples]
@@ -244,18 +240,18 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
         check("j^* j_* = 1", iso_test(back2, n).isomorphic, f"sample {k}: dims {back2.dims} vs {n.dims}")
     # (R1) adjunction dimension identities
     for k, (m, x) in enumerate(zip(samples, samples_bar)):
-        lhs = hom(rec.apply(I_UPPER_STAR, m), x)
-        rhs = hom(m, rec.apply(I_STAR, x))
+        lhs = hom_dim(rec.apply(I_UPPER_STAR, m), x)
+        rhs = hom_dim(m, rec.apply(I_STAR, x))
         check("adjunction (i^*, i_*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
-        lhs = hom(rec.apply(I_STAR, x), m)
-        rhs = hom(x, rec.apply(I_SHRIEK, m))
+        lhs = hom_dim(rec.apply(I_STAR, x), m)
+        rhs = hom_dim(x, rec.apply(I_SHRIEK, m))
         check("adjunction (i_*, i^!)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
     for k, (m, n) in enumerate(zip(samples, samples_til)):
-        lhs = hom(rec.apply(J_LOWER, n), m)
-        rhs = hom(n, rec.apply(J_UPPER_STAR, m))
+        lhs = hom_dim(rec.apply(J_LOWER, n), m)
+        rhs = hom_dim(n, rec.apply(J_UPPER_STAR, m))
         check("adjunction (j_!, j^*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
-        lhs = hom(rec.apply(J_UPPER_STAR, m), n)
-        rhs = hom(m, rec.apply(J_STAR, n))
+        lhs = hom_dim(rec.apply(J_UPPER_STAR, m), n)
+        rhs = hom_dim(m, rec.apply(J_STAR, n))
         check("adjunction (j^*, j_*)", lhs == rhs, f"pair {k}: {lhs} != {rhs}")
     report.notes.append(
         "j_* realized as Hom over the corner of A.eps (the right-Atilde-module form "
@@ -264,20 +260,20 @@ def verify_recollement_laws(rec: Recollement, samples: list[RightModule], seed: 
     # (R2) full faithfulness as hom-dimension equalities
     for k, x in enumerate(samples_bar):
         for l, y in enumerate(samples_bar):
-            lhs = hom(x, y)
-            rhs = hom(rec.apply(I_STAR, x), rec.apply(I_STAR, y))
+            lhs = hom_dim(x, y)
+            rhs = hom_dim(rec.apply(I_STAR, x), rec.apply(I_STAR, y))
             check("i_* fully faithful", lhs == rhs, f"pair ({k},{l}): {lhs} != {rhs}")
     for k, n in enumerate(samples_til):
         for l, n2 in enumerate(samples_til):
-            lhs = hom(n, n2)
+            lhs = hom_dim(n, n2)
             check(
                 "j_! fully faithful",
-                hom(rec.apply(J_LOWER, n), rec.apply(J_LOWER, n2)) == lhs,
+                hom_dim(rec.apply(J_LOWER, n), rec.apply(J_LOWER, n2)) == lhs,
                 f"pair ({k},{l})",
             )
             check(
                 "j_* fully faithful",
-                hom(rec.apply(J_STAR, n), rec.apply(J_STAR, n2)) == lhs,
+                hom_dim(rec.apply(J_STAR, n), rec.apply(J_STAR, n2)) == lhs,
                 f"pair ({k},{l})",
             )
     # (R3) j^* i_* = 0

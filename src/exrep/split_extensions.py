@@ -23,6 +23,7 @@ from .bimodules import (
 )
 from .linalg import Matrix, Subspace
 from .modules import RightModule, is_projective_module
+from .scope import scoped
 
 
 class SplitExtensionError(ValueError):
@@ -125,11 +126,18 @@ def build_split_extension(r: Algebra, kernel_arrows) -> SplitExtension:
     A is carried by the normal forms avoiding every kernel arrow, Q by the
     rest.  Fails with a witness if the kernel-arrow span is not the ideal it
     generates or the complement is not closed under multiplication (then xi
-    does not split for this basis).
+    does not split for this basis).  In an open scope each (R, kernel
+    arrows) is built once, and its functor memos serve every caller.
     """
+    kernel_arrows = tuple(kernel_arrows)
+    return scoped(
+        "builds", lambda: (SplitExtension, r, kernel_arrows), lambda: _build_split_extension(r, kernel_arrows)
+    )
+
+
+def _build_split_extension(r: Algebra, kernel_arrows: tuple[str, ...]) -> SplitExtension:
     if r.quiver is None:
         raise SplitExtensionError("split extensions need an algebra with quiver provenance")
-    kernel_arrows = tuple(kernel_arrows)
     arrow_idx = set()
     for name in kernel_arrows:
         arrow_idx.add(r.quiver.arrow_index(name))  # raises on unknown arrows

@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import exrep.goldens as goldens_module
 import exrep.recollements as recollements
 from exrep.fields import RATIONALS
 from exrep.goldens import bundled_algebra, criterion_property_suite
 from exrep.linalg import Matrix
 from exrep.modules import (
     ModuleError,
+    _hom_kernel,
     direct_sum,
     hom_dim,
     iso_test,
@@ -27,6 +29,7 @@ from exrep.recollements import (
     build_recollement,
     verify_recollement_laws,
 )
+from exrep.scope import computation_scope
 
 
 def thins(algebra):
@@ -215,50 +218,70 @@ def test_exactness_preserved_reads_rank_image_and_kernel(incl, proj, dims, exact
 HOM_TABLE_CASES = [(name, eps) for name in ("a3", "a42") for eps in (("1",), ("2",), ("3",), ("2", "3"))]
 
 
-def laws_without_hom_table(rec, samples, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(recollements, "_hom_table", lambda dims: hom_dim)
-        return verify_recollement_laws(rec, samples, seed=11)
+class SolveRecord(dict):
+    """A scope's Hom table that records the key of every pair it stores:
+    each store is one solve."""
+
+    def __init__(self):
+        super().__init__()
+        self.solved = []
+
+    def __setitem__(self, key, value):
+        self.solved.append(key)
+        super().__setitem__(key, value)
+
+
+class NeverHits(dict):
+    """A scope's Hom table that never answers: every read solves afresh."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def in_scope_with_hom_table(table, run):
+    with computation_scope() as scope:
+        scope.hom = table
+        return run()
+
+
+def fingerprints(key):
+    m, n = key
+    return (m[0].fingerprint, *m[1:]), (n[0].fingerprint, *n[1:])
+
+
+def laws_without_hom_table(rec, samples):
+    return in_scope_with_hom_table(NeverHits(), lambda: verify_recollement_laws(rec, samples, seed=11))
 
 
 @pytest.mark.parametrize("name, eps", HOM_TABLE_CASES, ids=[f"{n}-{','.join(e)}" for n, e in HOM_TABLE_CASES])
 def test_hom_table_gives_the_plain_report(name, eps, monkeypatch):
     """The law checker reads each Hom dimension once per (source, target)
-    pair: every value it reads equals a fresh `hom_dim`, its report is
-    exactly the one plain `hom_dim` calls give, and it solves one Hom per
-    distinct pair.  The semisimple samples share dimension vectors with thin
-    ones, so a table keyed by less than the module would read wrong values."""
+    pair from its scope: every value it reads equals a fresh solve, its
+    report is exactly the one a table that never answers gives, and it
+    solves one Hom per distinct pair.  The semisimple samples share
+    dimension vectors with thin ones, so a table keyed by less than the
+    module would read wrong values."""
     alg = bundled_algebra(name)
     samples = thins(alg) + [direct_sum([simple_module(alg, v) for v in sup]) for sup in (("1", "2"), ("2", "3"))]
-    table, calls = recollements._hom_table, []
 
-    def checked_table(dims):
-        dim = table(dims)
+    def checked(m, n):
+        got = hom_dim(m, n)
+        assert got == len(_hom_kernel(m, n)[1])
+        return got
 
-        def checked(m, n):
-            got = dim(m, n)
-            assert got == hom_dim(m, n)
-            return got
-
-        return checked
-
-    def counting(m, n):
-        calls.append((m.fingerprint, n.fingerprint))
-        return hom_dim(m, n)
-
+    record = SolveRecord()
     with monkeypatch.context() as patch:
-        patch.setattr(recollements, "_hom_table", checked_table)
-        patch.setattr(recollements, "hom_dim", counting)
-        got = verify_recollement_laws(build_recollement(alg, eps), samples, seed=11)
-    plain = laws_without_hom_table(build_recollement(alg, eps), samples, monkeypatch)
+        patch.setattr(recollements, "hom_dim", checked)
+        got = in_scope_with_hom_table(record, lambda: verify_recollement_laws(build_recollement(alg, eps), samples, seed=11))
+    plain = laws_without_hom_table(build_recollement(alg, eps), samples)
     assert (got.checked, got.failures, got.notes) == (plain.checked, plain.failures, plain.notes)
     assert got.ok
-    assert len(calls) == len(set(calls))
+    solved = [fingerprints(k) for k in record.solved]
+    assert solved and len(solved) == len(set(solved))
 
 
-def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
-    """j_* planted as its value plus S(1): the laws that compare Hom
-    dimensions must still fail, exactly as without the table."""
+def planted_wrong_j_star(monkeypatch):
+    """j_* planted as its value plus S(1)."""
     apply = recollements.Recollement.apply
 
     def planted(self, kind, m):
@@ -266,8 +289,14 @@ def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
         return direct_sum([out, simple_module(self.A, "1")]) if kind == J_STAR else out
 
     monkeypatch.setattr(recollements.Recollement, "apply", planted)
+
+
+def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
+    """With j_* planted wrong, the laws that compare Hom dimensions must
+    still fail, exactly as without the table."""
+    planted_wrong_j_star(monkeypatch)
     table = verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11)
-    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3), monkeypatch)
+    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3))
     assert table.failures == plain.failures
     failed = {f.law for f in table.failures}
     assert {"adjunction (j^*, j_*)", "j_* fully faithful"} <= failed
@@ -276,61 +305,61 @@ def test_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
 SUITE_EPS = (("1",), ("2",), ("3",), ("2", "3"))
 
 
-def record_solves(patch) -> list:
-    """Make the law checker's hom_dim record the memo keys of each pair it solves."""
-    calls = []
-
-    def counting(m, n):
-        calls.append((m.memo_key, n.memo_key))
-        return hom_dim(m, n)
-
-    patch.setattr(recollements, "hom_dim", counting)
-    return calls
-
-
-def test_shared_hom_table_gives_the_fresh_reports(monkeypatch):
+def test_shared_hom_table_gives_the_fresh_reports():
     """The property suite's eight law checks (a3 and a42, the same thin
-    samples, four idempotent sets each) share one Hom table: each report is
-    exactly the one a fresh table gives, and no pair is solved twice."""
+    samples, four idempotent sets each) join one scope: each report is
+    exactly the one its own scope gives, and no pair is solved twice."""
     cases = [(bundled_algebra(name), eps) for name in ("a3", "a42") for eps in SUITE_EPS]
-    shared: dict = {}
-    with monkeypatch.context() as patch:
-        calls = record_solves(patch)
-        got = [verify_recollement_laws(build_recollement(alg, eps), thins(alg), seed=7, hom_dims=shared)
-               for alg, eps in cases]
+    record = SolveRecord()
+    got = in_scope_with_hom_table(
+        record, lambda: [verify_recollement_laws(build_recollement(alg, eps), thins(alg), seed=7) for alg, eps in cases]
+    )
     fresh = [verify_recollement_laws(build_recollement(alg, eps), thins(alg), seed=7) for alg, eps in cases]
     for g, f in zip(got, fresh):
         assert (g.checked, g.failures, g.notes) == (f.checked, f.failures, f.notes)
         assert g.ok
     # one entry per solve, keyed by the two memo keys
-    assert len(calls) == len(set(calls)) and set(calls) == set(shared)
+    assert record.solved and len(record.solved) == len(set(record.solved)) and set(record.solved) == set(record)
 
 
-def test_property_suite_solves_each_law_pair_once(monkeypatch):
-    """`criterion_property_suite` passes one Hom table to its eight law checks."""
-    calls = record_solves(monkeypatch)
-    assert criterion_property_suite().ok
-    assert calls and len(calls) == len(set(calls))
+def test_property_suite_solves_each_law_pair_once():
+    """`criterion_property_suite`'s eight law checks join the scope it runs
+    in, so they solve each pair once among themselves and with the rest of
+    the suite."""
+    record = SolveRecord()
+    laws = recollements.verify_recollement_laws
+    seen = []
+
+    def counting_laws(*args, **kwargs):
+        before = len(record.solved)
+        rep = laws(*args, **kwargs)
+        seen.append(len(record.solved) - before)
+        return rep
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(goldens_module, "verify_recollement_laws", counting_laws)
+        assert in_scope_with_hom_table(record, criterion_property_suite).ok
+    assert len(seen) == 8 and all(seen)
+    assert len(record.solved) == len(set(record.solved))
 
 
 def test_shared_hom_table_reports_a_planted_wrong_functor(a3, monkeypatch):
-    """A table already filled by a clean check must not hide a planted wrong
-    j_* (value plus S(1)) from the next check that shares it."""
-    shared: dict = {}
-    assert verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11, hom_dims=shared).ok
-    filled = len(shared)
-    apply = recollements.Recollement.apply
+    """A table already filled by a clean check in the same scope must not
+    hide a planted wrong j_* (value plus S(1)) from the next check."""
+    record = SolveRecord()
 
-    def planted(self, kind, m):
-        out = apply(self, kind, m)
-        return direct_sum([out, simple_module(self.A, "1")]) if kind == J_STAR else out
+    def clean_then_planted():
+        assert verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11).ok
+        filled = len(record)
+        planted_wrong_j_star(monkeypatch)
+        got = verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11)
+        return filled, got
 
-    monkeypatch.setattr(recollements.Recollement, "apply", planted)
-    got = verify_recollement_laws(build_recollement(a3, ("2", "3")), thins(a3), seed=11, hom_dims=shared)
-    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3), monkeypatch)
+    filled, got = in_scope_with_hom_table(record, clean_then_planted)
+    plain = laws_without_hom_table(build_recollement(a3, ("2", "3")), thins(a3))
     assert got.failures == plain.failures
     assert {"adjunction (j^*, j_*)", "j_* fully faithful"} <= {f.law for f in got.failures}
-    assert len(shared) > filled
+    assert len(record) > filled
 
 
 def test_corner_bimodules_are_built_on_first_use(a3):
