@@ -677,22 +677,3 @@ def verify_algebra_axioms(a: Algebra) -> list[str]:
         if current:
             out.append(f"degree->=1 span is not nilpotent within {max_deg + 1} steps")
     return out
-
-
-def radical_power_zero_exponent(a: Algebra) -> int:
-    """Smallest m with rad^m = 0, by iterated products of degree->=1 elements."""
-    f = a.field
-    current = [{i: f.one()} for i in a.radical_indices]
-    m = 1
-    while current:
-        nxt = []
-        for x in current:
-            for r in a.radical_indices:
-                prod = a.mult_vec(x, {r: f.one()})
-                if prod:
-                    nxt.append(prod)
-        if nxt and m > a.dim + 1:
-            raise AlgebraError("radical is not nilpotent")
-        current = nxt
-        m += 1
-    return m

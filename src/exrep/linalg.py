@@ -105,10 +105,6 @@ class Matrix:
             m.rows[i][i] = one
         return m
 
-    @classmethod
-    def from_int_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        return cls(field, [[field.from_int(x) for x in r] for r in rows])
-
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.nrows, self.ncols)
 
@@ -330,9 +326,6 @@ class Subspace:
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce_vector(vec))
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.basis.rows)
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,7 +11,8 @@ Hom(M, N) is solved exactly as one linear system (`_hom_kernel`), whose
 kernel rows are verified on every radical basis element in one batched check
 before any reader sees them: `hom_dim`, the brick test and the Hom complex
 behind Ext count or multiply those rows directly, and `hom_basis` cuts them
-into `ModuleMap`s without checking each map again.
+into `ModuleMap`s without checking each map again.  An open scope solves
+each kernel, cover, syzygy and rank once (`exrep.scope`).
 """
 
 from __future__ import annotations
@@ -186,9 +187,6 @@ class ModuleMap:
             raise ModuleError("composition mismatch")
         return ModuleMap(self.source, other.target, [a.mul(b) for a, b in zip(self.mats, other.mats)], check=False)
 
-    def flatten(self) -> list:
-        return [x for m in self.mats for r in m.rows for x in r]
-
     def __repr__(self):
         return f"ModuleMap({self.source.dims} -> {self.target.dims})"
 
@@ -350,6 +348,11 @@ def direct_sum(summands: list[RightModule]) -> RightModule:
 
 
 def _hom_kernel(m: RightModule, n: RightModule) -> tuple[list[int], list[list]]:
+    """`_solve_hom_kernel(m, n)`, once per pair in an open scope (read-only)."""
+    return scoped("hom", lambda: (m.memo_key, n.memo_key), lambda: _solve_hom_kernel(m, n))
+
+
+def _solve_hom_kernel(m: RightModule, n: RightModule) -> tuple[list[int], list[list]]:
     """Hom(M, N) as the canonical kernel of the intertwining system, verified.
 
     Returns (offsets, rows): each row is one basis map flattened vertex by
@@ -474,8 +477,8 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
 
 
 def hom_dim(m: RightModule, n: RightModule) -> int:
-    """dim Hom(M, N), solved once per pair in an open scope."""
-    return scoped("hom", lambda: (m.memo_key, n.memo_key), lambda: len(_hom_kernel(m, n)[1]))
+    """dim Hom(M, N): the number of `_hom_kernel` rows."""
+    return len(_hom_kernel(m, n)[1])
 
 
 def brick_report(m: RightModule) -> tuple[int, bool]:
@@ -674,6 +677,12 @@ def radical_subspaces(m: RightModule) -> list[Subspace]:
 
 
 def top_and_cover(m: RightModule) -> tuple[dict[str, int], RightModule, ModuleMap]:
+    """`_build_cover(m)`, once per module in an open scope, with a fresh top."""
+    top, cover, cmap = scoped("covers", lambda: m.memo_key, lambda: _build_cover(m))
+    return dict(top), cover, cmap
+
+
+def _build_cover(m: RightModule) -> tuple[dict[str, int], RightModule, ModuleMap]:
     """Top multiplicities, the projective cover, and the cover map.
 
     The top is computed per vertex as M / M.rad; lifts of a top basis are the
@@ -762,7 +771,8 @@ class Resolution:
     one is recorded when it is found, so `status(k)` reports exactly what a
     fresh resolution of k steps reports, however far this one has grown.
     One object serves every Ext read from its module: `Resolution.of` hands
-    out the one an open scope holds for the module (see `exrep.scope`).
+    out the one an open scope holds for the module (see `exrep.scope`), and
+    the scope shares each step from `_shared_from` on, keyed by its omega^s.
     """
 
     def __init__(self, m: RightModule):
@@ -771,6 +781,7 @@ class Resolution:
         self.inclusions: list[ModuleMap | None] = [None]  # omega^i -> P_{i-1}
         self.terms: list[RightModule] = []
         self.diffs: list[ModuleMap] = []
+        self._shared_from = 0
         self._scanned = 0  # syzygies 1.._scanned were compared with every earlier one
         self._period: Periodic | None = None
 
@@ -782,21 +793,21 @@ class Resolution:
     def steps(self) -> int:
         return len(self.terms)
 
-    def _push(self, cover: RightModule, cmap: ModuleMap) -> None:
-        """Append the step cover -> omega^{last} (cmap onto the last syzygy)."""
+    def _push(self, cover: RightModule, cmap: ModuleMap, kernel: tuple[RightModule, ModuleMap]) -> None:
+        """Append the step cover -> omega^{last}: cmap onto it, kernel its `kernel_of`."""
         incl = self.inclusions[-1]
         self.terms.append(cover)
         self.diffs.append(cmap if incl is None else cmap.compose(incl))
-        ker, kincl = kernel_of(cmap)
-        self.syzygies.append(ker)
-        self.inclusions.append(kincl)
+        self.syzygies.append(kernel[0])
+        self.inclusions.append(kernel[1])
 
     def extend_to(self, steps: int) -> None:
         """Grow to `steps` covers, stopping at a zero syzygy (the module itself
         always gets its cover)."""
         while self.steps() < steps and not (self.steps() and self.syzygies[-1].is_zero):
-            _, cover, cmap = top_and_cover(self.syzygies[-1])
-            self._push(cover, cmap)
+            last = self.syzygies[-1]
+            _, cover, cmap = top_and_cover(last)
+            self._push(cover, cmap, scoped("syzygies", lambda: last.memo_key, lambda: kernel_of(cmap)))
 
     def status(self, max_steps: int) -> FinitePd | Periodic | TruncatedAt:
         """FinitePd(k) once omega^{k+1} vanishes within max_steps; Periodic(j, q)
@@ -842,13 +853,8 @@ class Resolution:
 
     def ext(self, n: RightModule, n_max: int = 8) -> ExtResult:
         """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`.
-        In an open scope each (resolution, N, n_max) is read once; keying by
-        the resolution keeps a padded one apart from the minimal one.  Every
-        read gets its own copy of the dimensions."""
-        got = scoped("ext", lambda: (self, n.memo_key, n_max), lambda: self._ext(n, n_max))
-        return ExtResult(list(got.dims), got.certainty)
-
-    def _ext(self, n: RightModule, n_max: int) -> ExtResult:
+        In an open scope every bound reads the ranks already found; each read
+        gets its own dimensions."""
         m = self.module
         if not m.algebra.same_as(n.algebra):
             raise ModuleError("ext between modules over different algebras")
@@ -936,6 +942,20 @@ class ExtResult:
 
 
 def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
+    """`_solve_hom_complex_rank` once per (omega^n, omega^{n+1}, N) in an open
+    scope; step n+1 is grown first, so no entry misses it."""
+    res.extend_to(n + 2)
+    if n < res._shared_from:
+        return _solve_hom_complex_rank(res, n, target)
+    syz = res.syzygies
+    return scoped(
+        "ranks",
+        lambda: (syz[n].memo_key, syz[n + 1].memo_key, target.memo_key),
+        lambda: _solve_hom_complex_rank(res, n, target),
+    )
+
+
+def _solve_hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
     """(dim Hom(P_n, N), rank of the map Hom(P_n, N) -> Hom(P_{n+1}, N)).
 
     h |-> D_{n+1}.h for every kernel row h at once: per vertex v one product
@@ -1002,12 +1022,6 @@ def padded_resolution(m: RightModule, pad_vertex: str) -> Resolution:
         mats.append(Matrix(f, cmap.mats[v].rows + z.rows, padded.dims[v], m.dims[v]))
     pmap = ModuleMap(padded, m, mats)
     res = Resolution(m)
-    res._push(padded, pmap)
+    res._push(padded, pmap, kernel_of(pmap))
+    res._shared_from = 1  # the padded step is nobody else's
     return res
-
-
-def ext_dims_from_tower_padded(m: RightModule, n: RightModule, n_max: int, pad_vertex: str) -> list[int]:
-    """Ext dimensions from `padded_resolution(m, pad_vertex)`."""
-    if m.is_zero:
-        return [0] * (n_max + 1)
-    return padded_resolution(m, pad_vertex).tower_dims(n, n_max)

@@ -1,20 +1,24 @@
 """One computation scope: tables that every call inside it shares.
 
-A scope holds four tables, each filled on first use and keyed through
-`RightModule.memo_key` (so a module over an equal but distinct algebra
-never shares an entry):
+Each table is filled on first use and keyed through `RightModule.memo_key`
+(a module over an equal but distinct algebra never shares an entry):
 
     resolutions   one minimal `Resolution` per module
-    ext           one `ExtResult` per (resolution, target, n_max)
-    hom           one `hom_dim` per (source, target)
+    hom           one verified `_hom_kernel` (offsets, rows) per (source, target)
+    covers        one `top_and_cover` per module
+    syzygies      one `kernel_of` the cover map per module
+    ranks         one Hom-complex (dim, rank) per (step n, step n+1, target),
+                  a step named by the syzygy it covers; Ext sums them at any bound
     builds        one split extension or recollement per construction input
 
-The scope lives in a `ContextVar` and dies with the `with` block (or the
-decorated call) that opened it, so nothing is carried from one run to the
-next.  `goldens.run_all`, each CLI command and `verify_recollement_laws`
-open one; a scope opened inside another joins it.  Plain library calls open
-none, and outside a scope `scoped` runs `build()` directly without computing
-a key.
+Shared entries are read-only; `top_and_cover` and `Resolution.ext` hand out
+their own top and dims.  The padded first step of `padded_resolution` enters
+no table.  The scope lives in a `ContextVar` and dies with the `with` block
+(or the decorated call) that opened it.  `goldens.run_all`, each CLI command
+and `verify_recollement_laws` open one; a scope opened inside another joins
+it.  Plain library calls (`ext_dims`, `enumerate_ces`, `enumerate_bricks`,
+...) stay unscoped: outside a scope `scoped` runs `build()` directly
+without computing a key.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from contextvars import ContextVar
 
 
 class Scope:
-    __slots__ = ("resolutions", "ext", "hom", "builds")
+    __slots__ = ("resolutions", "hom", "covers", "syzygies", "ranks", "builds")
 
     def __init__(self):
         self.resolutions: dict = {}
-        self.ext: dict = {}
         self.hom: dict = {}
+        self.covers: dict = {}
+        self.syzygies: dict = {}
+        self.ranks: dict = {}
         self.builds: dict = {}
 
 

@@ -79,9 +79,6 @@ class SplitExtension:
         """R as a left A-module, realized as a right module over A^op."""
         return left_module_over_op(self.R_as_A_R)
 
-    def left_module_Q(self) -> RightModule:
-        return left_module_over_op(self.Q)
-
     def apply(self, kind: str, m: RightModule) -> RightModule:
         """One of the four functors; memoized per (functor, module memo_key)."""
         key = (kind, m.memo_key)

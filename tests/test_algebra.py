@@ -1,4 +1,5 @@
 import pytest
+from helpers import radical_power_zero_exponent
 
 from exrep.algebra import (
     Algebra,
@@ -7,7 +8,6 @@ from exrep.algebra import (
     corner_algebra,
     opposite_algebra,
     quotient_by_idempotent_ideal,
-    radical_power_zero_exponent,
     verify_algebra_axioms,
 )
 from exrep.fields import RATIONALS, FieldSpec

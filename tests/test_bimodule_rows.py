@@ -33,6 +33,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from helpers import flatten
 from test_linalg_kernel import canonical, ref_quotient_with_section, same
 
 import exrep.bimodules as bimodule_layer
@@ -169,8 +170,8 @@ def ref_hom_from_bimodule(x, n):
         mats = [x.left[i][w] for w in range(x.right_algebra.n_vertices)]
         lam = ModuleMap(x.rows[u2], x.rows[u], mats, check=False)
         width = sum(d * e for d, e in zip(x.rows[u2].dims, n.dims))
-        target = Matrix(f, [h.flatten() for h in bases[u2]], dims[u2], width)
-        moved = Matrix(f, [lam.compose(h).flatten() for h in bases[u]], dims[u], width)
+        target = Matrix(f, [flatten(h) for h in bases[u2]], dims[u2], width)
+        moved = Matrix(f, [flatten(lam.compose(h)) for h in bases[u]], dims[u], width)
         sol = solve_right(target, moved)
         assert sol is not None
         action[i] = sol[0]

@@ -15,6 +15,7 @@ both must return the same bricks and draw the same number of candidates.
 import itertools
 
 import pytest
+from helpers import int_matrix
 
 from exrep import exceptional
 from exrep.algebra import build_algebra, corner_algebra, quotient_by_idempotent_ideal
@@ -348,12 +349,12 @@ def test_module_from_generators_matches_arrow_maps(cycle3_ab):
             lambda: module_from_generators(cycle3_ab, (2, 2, 2), gens),
         )
 
-    gamma = Matrix.from_int_rows(f, [[1, 3], [0, 1]])
+    gamma = int_matrix(f, [[1, 3], [0, 1]])
     # alpha.beta = [[0, 1], [0, 2]] breaks the relation alpha*beta = 0
-    for build in both(Matrix.from_int_rows(f, [[1, 0], [2, 1]]), Matrix.from_int_rows(f, [[0, 1], [0, 0]]), gamma):
+    for build in both(int_matrix(f, [[1, 0], [2, 1]]), int_matrix(f, [[0, 1], [0, 0]]), gamma):
         with pytest.raises(ModuleError):
             build()
-    by_arrows, by_words = both(Matrix.from_int_rows(f, [[1, 0], [0, 0]]), Matrix.from_int_rows(f, [[0, 0], [1, 1]]), gamma)
+    by_arrows, by_words = both(int_matrix(f, [[1, 0], [0, 0]]), int_matrix(f, [[0, 0], [1, 1]]), gamma)
     assert by_words().fingerprint == by_arrows().fingerprint
 
 

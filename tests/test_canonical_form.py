@@ -16,6 +16,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from helpers import flatten
 from test_linalg_kernel import canonical
 from test_modules import conjugated_sum
 
@@ -56,7 +57,7 @@ def assert_canonical_module(m: RightModule) -> None:
 
 
 def assert_canonical_map(h: ModuleMap) -> None:
-    assert all(canonical(h.source.field, x) for x in h.flatten()), h
+    assert all(canonical(h.source.field, x) for x in flatten(h)), h
 
 
 def sample_modules(algebra, rng: random.Random, count: int) -> list[RightModule]:

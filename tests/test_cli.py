@@ -341,6 +341,14 @@ def test_reproduce_json_deterministic(capsys):
     assert out1 == out2
 
 
+def test_reproduce_json_matches_the_recorded_golden(capsys):
+    """The report equals `tests/golden/reproduce-paper.json` byte for byte,
+    the two red criteria and their witnesses included."""
+    code, out, _ = run(capsys, "--json", "reproduce-paper")
+    assert code == 1
+    assert out == (Path(__file__).parent / "golden" / "reproduce-paper.json").read_text()
+
+
 def test_reproduce_matrix(capsys):
     code, out, _ = run(capsys, "reproduce-paper")
     lines = [l for l in out.splitlines() if l.startswith("[")]

@@ -7,7 +7,7 @@ pass (`_check_intertwines`).  Three kinds of test pin that:
 
 - differential: a reference copy of the per-map `hom_basis` it replaced
   (`Matrix.zeros` blocks, each map built with `ModuleMap(..., check=True)`)
-  and of the per-map Hom-complex rank (`D.compose(h).flatten()`) must agree
+  and of the per-map Hom-complex rank (`flatten(D.compose(h))`) must agree
   entry for entry, over Q, F2 and F3;
 - closed form, independent of the solver: dim Hom(e_v A, N) = dim N_v
   (Yoneda) and dim Hom(M, D(A e_v)) = dim M_v (duality);
@@ -20,6 +20,7 @@ import itertools
 import random
 
 import pytest
+from helpers import flatten, int_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg_kernel import HOM_CASES
@@ -108,7 +109,7 @@ def ref_hom_complex_rank(res, n, target):
     if n + 1 >= len(res.terms) or res.terms[n + 1].is_zero:
         return dim_n, 0
     D = res.diffs[n + 1]
-    rows = [D.compose(h).flatten() for h in basis_n]
+    rows = [flatten(D.compose(h)) for h in basis_n]
     width = len(rows[0])
     if width == 0:
         return dim_n, 0
@@ -201,7 +202,7 @@ def _broken_thin123(a3):
     """Thin 1,2,3 over a3 with rho(alpha) = rho(beta) = 1 but rho(alpha*beta)
     = 0: broken only on a radical element that is not a generator."""
     (ab,) = [i for i in a3.radical_indices if i not in a3.radical_generators]
-    action = {i: Matrix.from_int_rows(a3.field, [[0 if i == ab else 1]]) for i in a3.radical_indices}
+    action = {i: int_matrix(a3.field, [[0 if i == ab else 1]]) for i in a3.radical_indices}
     return RightModule(a3, (1, 1, 1), action, check=False)
 
 

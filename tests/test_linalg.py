@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import contains, int_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg_kernel import rank_kernel_image
@@ -16,7 +17,7 @@ from exrep.linalg import (
 
 
 def qmat(rows):
-    return Matrix.from_int_rows(RATIONALS, rows)
+    return int_matrix(RATIONALS, rows)
 
 
 def test_field_literals():
@@ -100,7 +101,7 @@ def q_matrices(draw, max_dim=4):
     n = draw(st.integers(min_value=0, max_value=max_dim))
     m = draw(st.integers(min_value=0, max_value=max_dim))
     rows = draw(st.lists(st.lists(small_entries, min_size=m, max_size=m), min_size=n, max_size=n))
-    return Matrix.from_int_rows(RATIONALS, rows)
+    return int_matrix(RATIONALS, rows)
 
 
 @given(q_matrices())
@@ -118,13 +119,13 @@ def test_rank_nullity(m):
 def test_canonicalization_is_span_invariant(m, mix):
     if m.nrows != 3:
         return
-    mixed = Matrix.from_int_rows(RATIONALS, mix).mul(m)
+    mixed = int_matrix(RATIONALS, mix).mul(m)
     s1 = Subspace.from_rows(RATIONALS, m.ncols, m.rows + mixed.rows)
     s2 = Subspace.from_rows(RATIONALS, m.ncols, mixed.rows + m.rows + m.rows)
-    assert s1.contains(Subspace.from_rows(RATIONALS, m.ncols, mixed.rows))
+    assert contains(s1, Subspace.from_rows(RATIONALS, m.ncols, mixed.rows))
     assert s1 == Subspace.from_rows(RATIONALS, m.ncols, s1.basis.rows)  # idempotent
-    assert s2.contains(s2)
-    assert s1.contains(s2) and s2.dim <= s1.dim
+    assert contains(s2, s2)
+    assert contains(s1, s2) and s2.dim <= s1.dim
 
 
 @given(q_matrices())
@@ -162,6 +163,6 @@ def test_solve_right_correct(a, b):
 @given(st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=2, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_f2_rank_nullity(rows):
-    m = Matrix.from_int_rows(F2, rows)
+    m = int_matrix(F2, rows)
     rank, ker, img = rank_kernel_image(m)
     assert rank + ker.dim == m.nrows

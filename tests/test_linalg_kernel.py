@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import flatten
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_modules import conjugated_sum
@@ -391,7 +392,7 @@ def test_hom_basis_matches_transform_reference(name, algebra):
         assert len(got) == len(want)
         for h, row in zip(got, want):
             assert isinstance(h, ModuleMap) and h.commutes()
-            assert same([h.flatten()], [row], algebra.field)
+            assert same([flatten(h)], [row], algebra.field)
         nonzero += bool(got)
     assert nonzero
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from helpers import ext_dims_from_tower_padded, flatten, int_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from exrep.modules import (
     brick_report,
     direct_sum,
     ext_dims,
-    ext_dims_from_tower_padded,
     hom_basis,
     hom_dim,
     injective_module,
@@ -100,7 +100,7 @@ def test_explicit_basis_maps_over_arrowless_corner(a3):
 
     corner, _ = corner_algebra(a3, ("1", "3"))
     (rad_idx,) = corner.radical_indices
-    m = explicit_module(corner, (1, 1), {rad_idx: Matrix.from_int_rows(RATIONALS, [[2]])})
+    m = explicit_module(corner, (1, 1), {rad_idx: int_matrix(RATIONALS, [[2]])})
     assert brick_report(m) == (1, True)
     n = explicit_module(corner, (1, 1), {rad_idx: Matrix.zeros(RATIONALS, 1, 1)})
     assert brick_report(n) == (2, False)  # S1 + S3 over the corner
@@ -200,7 +200,7 @@ def test_iso_dim_mismatch(a3):
 
 def test_iso_scaling(a3):
     t12 = thin_module(a3, ("1", "2"))
-    scaled = module_from_arrow_maps(a3, (1, 1, 0), {"alpha": Matrix.from_int_rows(RATIONALS, [[7]])})
+    scaled = module_from_arrow_maps(a3, (1, 1, 0), {"alpha": int_matrix(RATIONALS, [[7]])})
     res = iso_test(t12, scaled)
     assert res.isomorphic
     assert res.map.is_invertible()
@@ -442,7 +442,7 @@ def conjugated_sum(algebra, specs, rng):
     g, g_inv = [], []
     for d in base.dims:
         while True:
-            mat = Matrix.from_int_rows(f, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+            mat = int_matrix(f, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
             if d == 0 or mat.det() != 0:
                 break
         g.append(mat)
@@ -473,5 +473,5 @@ def test_hom_over_generators_equals_full_system(which, seed):
     kinds = [f"{k}:{v}" for k in ("simple", "proj", "inj") for v in alg.vertices]
     m = conjugated_sum(alg, rng.choices(kinds, k=rng.randint(1, 3)), rng)
     n = conjugated_sum(alg, rng.choices(kinds, k=rng.randint(1, 3)), rng)
-    got = [h.flatten() for h in hom_basis(m, n)]
+    got = [flatten(h) for h in hom_basis(m, n)]
     assert got == full_hom_kernel(m, n).basis.rows

@@ -1,5 +1,7 @@
-"""One computation scope shares resolutions, Hom and Ext reads, and split
-extension and recollement builds among the calls made inside it.
+"""One computation scope shares resolutions, Hom kernels, covers, syzygies,
+Hom-complex ranks, and split extension and recollement builds among the
+calls made inside it (`test_scope_tables` checks the kernel tables entry by
+entry).
 
 - `run_all`, each CLI command and each law check run in one scope, and
   `run_all` gives exactly the criteria's unscoped results.
@@ -10,12 +12,14 @@ extension and recollement builds among the calls made inside it.
 - Scoped `hom_dim` and `Resolution.ext` equal fresh, unscoped calls.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from test_memo_keys import FIXTURES, modules, rebuilt
 
 from exrep import cli, goldens, recollements
+from exrep.algebra import Algebra
 from exrep.goldens import bundled_algebra
 from exrep.modules import Resolution, ext_dims, hom_dim, make_module
 from exrep.recollements import build_recollement
@@ -102,6 +106,7 @@ def test_ext_reads_hand_out_their_own_dims(a3):
         again = Resolution.of(m).ext(n, 4)
         assert again.dims == want and again.certainty == first.certainty
         assert again.dims is not first.dims
+        assert ext_dims(m, n, 2).dims == want[:3]  # a read at a lower bound too
 
 
 def test_an_equal_but_distinct_algebra_shares_no_entry():
@@ -115,8 +120,24 @@ def test_an_equal_but_distinct_algebra_shares_no_entry():
         assert ext_dims(m, n, 3) == ext_dims(m2, n2, 3)
         assert build_split_extension(a3, ["alpha"]) is not build_split_extension(twin, ["alpha"])
         assert build_recollement(a3, ["2"]) is not build_recollement(twin, ["2"])
-        assert len(scope.hom) == 2 and len(scope.resolutions) == 2 and len(scope.ext) == 2
-        assert len(scope.builds) == 4
+        assert len(scope.resolutions) == 2 and len(scope.builds) == 4
+        # every kernel entry names one algebra, and each algebra the twins
+        # build (the twins themselves, opposites, quotients) comes as two
+        # distinct objects holding equally many entries
+        for table in (scope.hom, scope.covers, scope.syzygies, scope.ranks):
+            per_name = {}
+            for key in table:
+                (alg,) = algebras_in(key)
+                per_name.setdefault(alg.name, Counter())[alg] += 1
+            assert set(per_name["a3"]) == {a3, twin}
+            assert all(len(c) == 2 and len(set(c.values())) == 1 for c in per_name.values()), per_name
+
+
+def algebras_in(key) -> frozenset:
+    """The algebras named by a table key: one per `memo_key` in it."""
+    if isinstance(key[0], Algebra):
+        return frozenset([key[0]])
+    return frozenset().union(*map(algebras_in, key))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -131,7 +152,7 @@ def test_scoped_reads_equal_fresh_calls(name):
                 for j, n in enumerate(mods):
                     assert hom_dim(m, n) == fresh_hom[i, j], (name, i, j)
                     assert Resolution.of(m).ext(n, 4) == fresh_ext[i, j], (name, i, j)
-        assert scope.hom and scope.ext and scope.resolutions
+        assert scope.hom and scope.covers and scope.syzygies and scope.ranks and scope.resolutions
 
 
 def test_one_recollement_per_idempotent_set(a3):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from helpers import left_module_Q
 
 from exrep.algebra import build_algebra
 from exrep.fields import RATIONALS
@@ -67,7 +68,7 @@ def test_loose_cycle_left_module_decomposition(se34):
     top, _, _ = top_and_cover(left_r)
     assert top == {"1": 1, "2": 1, "3": 3}
     # left Q is two copies of the left projective at vertex 3
-    left_q = se34.left_module_Q()
+    left_q = left_module_Q(se34)
     assert left_q.dims == (0, 2, 2)
 
 
@@ -75,7 +76,7 @@ def test_kernel_alpha_of_path_algebra(se42):
     assert se42.dim_q == 2
     assert se42.A.dim == 4
     assert se42.is_projective_left is True
-    left_q = se42.left_module_Q()
+    left_q = left_module_Q(se42)
     assert left_q.dims == (2, 0, 0)
 
 
