@@ -37,7 +37,6 @@ from .modules import (
     hom_dim,
     injective_module,
     is_projective_module,
-    is_semibrick,
     iso_test,
     make_module,
     minimal_resolution,

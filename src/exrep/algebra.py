@@ -481,36 +481,42 @@ class AlgebraMorphismData:
         return out
 
 
+def _sub_basis_algebra(
+    a: Algebra, keep: list[int], labels: tuple[str, ...], name: str,
+    quiver: Quiver | None = None, relations: tuple[RelationExpr, ...] | None = None,
+) -> tuple[Algebra, AlgebraMorphismData]:
+    """The algebra on the basis elements keep of a (their products must stay
+    in their span) over the vertices labels, with the inclusion into a as its
+    "corner" transport."""
+    new_vertex = {a.vertex_index(v): t for t, v in enumerate(labels)}
+    reindex = {old: new for new, old in enumerate(keep)}
+    basis = tuple(
+        BasisElement(new_vertex[b.source], new_vertex[b.target], b.degree, b.path) for b in (a.basis[i] for i in keep)
+    )
+    table = [[{reindex[k]: c for k, c in a.mult(i, j).items()} for j in keep] for i in keep]
+    sub = Algebra(a.field, labels, basis, table, name=name, quiver=quiver, relations=relations)
+    inclusion = Matrix.zeros(a.field, len(keep), a.dim)
+    for new, old in enumerate(keep):
+        inclusion.rows[new][old] = a.field.one()
+    return sub, AlgebraMorphismData("corner", sub, a, inclusion)
+
+
 def corner_algebra(a: Algebra, eps_vertices) -> tuple[Algebra, AlgebraMorphismData]:
     """The corner eAe for e the sum of the chosen vertex idempotents."""
     eps = _vertex_subset(a, eps_vertices)
     keep = [i for i, b in enumerate(a.basis) if b.source in eps and b.target in eps]
-    new_labels = tuple(v for vi, v in enumerate(a.vertices) if vi in eps)
-    old_to_newv = {vi: new_labels.index(v) for vi, v in enumerate(a.vertices) if vi in eps}
-    reindex = {old: new for new, old in enumerate(keep)}
-    basis = tuple(
-        BasisElement(old_to_newv[a.basis[i].source], old_to_newv[a.basis[i].target], a.basis[i].degree, a.basis[i].path)
-        for i in keep
-    )
-    table = [
-        [{reindex[k]: c for k, c in a.mult(i, j).items()} for j in keep]
-        for i in keep
-    ]
-    corner = Algebra(a.field, new_labels, basis, table, name=f"{a.name}.corner({','.join(new_labels)})")
-    transport = Matrix.zeros(a.field, len(keep), a.dim)
-    for new, old in enumerate(keep):
-        transport.rows[new][old] = a.field.one()
-    morph = AlgebraMorphismData("corner", corner, a, transport)
-    return corner, morph
+    labels = tuple(v for vi, v in enumerate(a.vertices) if vi in eps)
+    return _sub_basis_algebra(a, keep, labels, f"{a.name}.corner({','.join(labels)})")
 
 
 def quotient_by_idempotent_ideal(a: Algebra, eps_vertices) -> tuple[Algebra, AlgebraMorphismData]:
-    """The quotient A/AeA, with the surjection A -> A/AeA as transport."""
+    """The quotient A/AeA, with the surjection A -> A/AeA as transport.  In each
+    Peirce block off eps, the basis elements on the free columns of AeA's RREF
+    represent the quotient basis, and their products are projected."""
     eps = _vertex_subset(a, eps_vertices)
     f = a.field
     # AeA is spanned by products b*b' with target(b) = source(b') in eps;
     # each such product lies in a single Peirce block, so work blockwise.
-    nv = a.n_vertices
     block_members: dict[tuple[int, int], list[int]] = {}
     for i, b in enumerate(a.basis):
         block_members.setdefault((b.source, b.target), []).append(i)
@@ -531,42 +537,20 @@ def quotient_by_idempotent_ideal(a: Algebra, eps_vertices) -> tuple[Algebra, Alg
             for k, c in prod.items():
                 row[pos[k]] = c
             ideal_rows[block].append(row)
-    new_labels = tuple(v for vi, v in enumerate(a.vertices) if vi not in eps)
-    keep_v = [vi for vi in range(nv) if vi not in eps]
+    keep_v = [vi for vi in range(a.n_vertices) if vi not in eps]
     old_to_newv = {vi: t for t, vi in enumerate(keep_v)}
-
-    proj_cols: list[list] = [[] for _ in range(a.dim)]
-    new_basis: list[BasisElement] = []
-    sections: list[tuple[tuple[int, int], Matrix, Matrix]] = []
-    block_offsets: dict[tuple[int, int], int] = {}
+    reps: list[int] = []  # the basis element of A behind each quotient basis element
+    rows: list[list] = [[] for _ in a.basis]  # the transport, one block of columns at a time
     for (u, v), members in sorted(block_members.items()):
         if u in eps or v in eps:
             continue
         W = Subspace.from_rows(f, len(members), ideal_rows[(u, v)])
-        proj, sect, q = quotient_with_section(f, len(members), W)
-        block_offsets[(u, v)] = len(new_basis)
-        sections.append(((u, v), proj, sect))
-        for t in range(q):
-            rep = members[[c for c in range(len(members)) if c not in W.pivots][t]]
-            b = a.basis[rep]
-            new_basis.append(BasisElement(old_to_newv[u], old_to_newv[v], b.degree, b.path))
-        for mi, m in enumerate(members):
-            proj_cols[m].append(((u, v), proj.rows[mi]))
-
-    dim_q = len(new_basis)
-    transport = Matrix.zeros(f, a.dim, dim_q)
-    for m in range(a.dim):
-        for (blk, row) in proj_cols[m]:
-            off = block_offsets[blk]
-            for t, c in enumerate(row):
-                transport.rows[m][off + t] = c
-
-    # section: new basis element -> vector in A
-    sect_vectors: list[dict[int, object]] = []
-    for (u, v), proj, sect in sections:
-        members = block_members[(u, v)]
-        for r in sect.rows:
-            sect_vectors.append({members[c]: x for c, x in enumerate(r) if x != 0})
+        proj, _, q = quotient_with_section(f, len(members), W)
+        reps += [members[c] for c in range(len(members)) if c not in W.pivots]
+        pos = {m: mi for mi, m in enumerate(members)}
+        for m, row in enumerate(rows):
+            row += proj.rows[pos[m]] if m in pos else [f.zero()] * q
+    transport = Matrix(f, rows, a.dim, len(reps))
 
     def project(vec: dict[int, object]) -> dict[int, object]:
         out: dict[int, object] = {}
@@ -581,12 +565,12 @@ def quotient_by_idempotent_ideal(a: Algebra, eps_vertices) -> tuple[Algebra, Alg
                         out[t] = v
         return out
 
-    table = [[{} for _ in range(dim_q)] for _ in range(dim_q)]
-    for i in range(dim_q):
-        for j in range(dim_q):
-            table[i][j] = project(a.mult_vec(sect_vectors[i], sect_vectors[j]))
+    basis = tuple(
+        BasisElement(old_to_newv[b.source], old_to_newv[b.target], b.degree, b.path) for b in (a.basis[i] for i in reps)
+    )
+    table = [[project(a.mult(i, j)) for j in reps] for i in reps]
     quot = Algebra(
-        f, new_labels, tuple(new_basis), table,
+        f, tuple(a.vertices[vi] for vi in keep_v), basis, table,
         name=f"{a.name}.mod_ideal({','.join(a.vertices[v] for v in sorted(eps))})",
     )
     morph = AlgebraMorphismData("quotient", a, quot, transport)

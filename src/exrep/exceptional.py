@@ -19,10 +19,10 @@ from .fields import F2, FieldSpec
 from .fileio import render_module
 from .linalg import Matrix
 from .modules import (
-    ExtResult,
     ModuleError,
     Resolution,
     RightModule,
+    _solve_hom_kernel,
     brick_report,
     hom_dim,
     iso_test,
@@ -83,16 +83,21 @@ _FIELD_NOTE = (
 )
 
 
-def _self_ext_check(src: Resolution, n_max: int) -> tuple[bool, bool, list[Witness], ExtResult]:
-    """(all positive self-exts vanish?, certified?, witnesses, raw result)."""
-    res = src.ext(src.module, n_max)
-    wit = [
-        Witness("E2", None, None, n, d)
-        for n, d in enumerate(res.dims)
-        if n >= 1 and d != 0
-    ]
-    vanish = not wit
-    return vanish, res.all_higher_vanish_certified(1), wit, res
+def _vanishing(
+    src: Resolution, target: RightModule, n_max: int, hom_tag: str | None, ext_tag: str, i: int | None, j: int | None
+) -> tuple[list[Witness], bool]:
+    """(witnesses, certified) for Hom(src.module, target) = 0, checked only
+    when hom_tag is set, and Ext^n(src.module, target) = 0 for n >= 1, with
+    Ext read from src: one witness per nonzero space, and whether every
+    Ext^n, n >= 1, is certified to vanish."""
+    witnesses = []
+    if hom_tag is not None:
+        h = hom_dim(src.module, target)
+        if h != 0:
+            witnesses.append(Witness(hom_tag, i, j, None, h))
+    res = src.ext(target, n_max)
+    witnesses += [Witness(ext_tag, i, j, n, d) for n, d in enumerate(res.dims) if n >= 1 and d != 0]
+    return witnesses, res.all_higher_vanish_certified(1)
 
 
 def is_exceptional(m: RightModule, n_max: int = 24) -> ExceptionalReport:
@@ -104,10 +109,9 @@ def _module_report(src: Resolution, n_max: int) -> ExceptionalReport:
     """`is_exceptional` of src.module, reading self-Ext from src."""
     m = src.module
     end_dim, brick = brick_report(m)
-    witnesses = [Witness("E1", None, None, None, end_dim)]
-    vanish, certified, ext_wit, _ = _self_ext_check(src, n_max)
-    witnesses += ext_wit
-    verdict = brick and vanish
+    ext_wit, certified = _vanishing(src, m, n_max, None, "E2", None, None)
+    witnesses = [Witness("E1", None, None, None, end_dim), *ext_wit]
+    verdict = brick and not ext_wit
     if not verdict:
         certainty = CERTIFIED if (not brick or ext_wit) else up_to_bound(n_max)
     else:
@@ -116,22 +120,6 @@ def _module_report(src: Resolution, n_max: int) -> ExceptionalReport:
     if m.field.is_rational:
         rep.notes.append(_FIELD_NOTE)
     return rep
-
-
-def _cross_vanishes(later: Resolution, earlier: RightModule, n_max: int, i: int, j: int):
-    """Hom(later, earlier) = 0 and certified Ext^n(later, earlier) = 0, n >= 1,
-    with Ext read from the resolution of the later module."""
-    witnesses = []
-    h = hom_dim(later.module, earlier)
-    if h != 0:
-        witnesses.append(Witness("E1'", i, j, None, h))
-    res = later.ext(earlier, n_max)
-    for n, d in enumerate(res.dims):
-        if n >= 1 and d != 0:
-            witnesses.append(Witness("E2'", i, j, n, d))
-    ok = not witnesses
-    certified = res.all_higher_vanish_certified(1)
-    return ok, certified, witnesses
 
 
 def is_exceptional_sequence(mods: list[RightModule], n_max: int = 24) -> ExceptionalReport:
@@ -162,8 +150,8 @@ def _sequence_report(resolutions: list[Resolution], n_max: int) -> ExceptionalRe
             all_certified = False
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
-            ok, certified, wit = _cross_vanishes(resolutions[j], mods[i], n_max, i + 1, j + 1)
-            if not ok:
+            wit, certified = _vanishing(resolutions[j], mods[i], n_max, "E1'", "E2'", i + 1, j + 1)
+            if wit:
                 verdict = False
                 witnesses += wit
             if not certified:
@@ -279,15 +267,10 @@ def check_split_theorem(se: SplitExtension, mods: list[RightModule], n_max: int 
     ext_certified = True
     for i in range(len(mods)):
         for j in range(i, len(mods)):
-            d = hom_dim(mods[j], tq[i])
-            if d != 0:
-                hom_wit.append(Witness("T3", i + 1, j + 1, None, d))
-            res = resolutions[j].ext(tq[i], n_max)
-            for n, dd in enumerate(res.dims):
-                if n >= 1 and dd != 0:
-                    ext_wit.append(Witness("T4", i + 1, j + 1, n, dd))
-            if not res.all_higher_vanish_certified(1):
-                ext_certified = False
+            wit, certified = _vanishing(resolutions[j], tq[i], n_max, "T3", "T4", i + 1, j + 1)
+            hom_wit += [w for w in wit if w.condition == "T3"]
+            ext_wit += [w for w in wit if w.condition == "T4"]
+            ext_certified = ext_certified and certified
     hyp3 = HypothesisVerdict("Hom(M_j, M_i x Q) = 0 (i <= j)", not hom_wit, True, hom_wit)
     hyp4 = HypothesisVerdict("Ext^n(M_j, M_i x Q) = 0 (i <= j, n >= 1)", not ext_wit, ext_certified, ext_wit)
     images = [se.apply(TENSOR_UP, m) for m in mods]
@@ -523,7 +506,8 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
                     m = module_from_generators(work, dims, action)
                 except ModuleError:
                     continue
-                if tits >= 2 or not brick_report(m)[1]:
+                # an unshared End solve: a rejected candidate leaves no kernel in the scope
+                if tits >= 2 or len(_solve_hom_kernel(m, m)[1]) != 1:
                     continue
                 twin = next(
                     (
@@ -582,8 +566,8 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
         for y in range(k):
             if x == y:
                 continue
-            ok, certified, _ = _cross_vanishes(admitted[y], exceptional[x], n_max, 1, 2)
-            may_follow[x][y] = ok and certified
+            wit, certified = _vanishing(admitted[y], exceptional[x], n_max, "E1'", "E2'", 1, 2)
+            may_follow[x][y] = not wit and certified
     sequences: list[tuple[int, ...]] = []
 
     def backtrack(prefix: list[int]) -> None:
@@ -601,10 +585,14 @@ def enumerate_ces(algebra: Algebra, cfg: EnumerationConfig, n_max: int = 24) -> 
     backtrack([])
     out_sequences: list[tuple[RightModule, ...]] = []
     lift_needed = algebra.field != cfg.field
+    lifted: dict[int, RightModule] = {}  # each brick is lifted once, when a sequence first uses it
     for seq in sequences:
         mods = tuple(exceptional[i] for i in seq)
         if lift_needed:
-            mods = tuple(_lift_module(m, algebra) for m in mods)
+            for i in seq:
+                if i not in lifted:
+                    lifted[i] = _lift_module(exceptional[i], algebra)
+            mods = tuple(lifted[i] for i in seq)
             recheck = is_exceptional_sequence(list(mods), n_max)
             if not recheck.verdict or recheck.certainty != CERTIFIED:
                 raise ModuleError(

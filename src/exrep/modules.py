@@ -486,16 +486,6 @@ def brick_report(m: RightModule) -> tuple[int, bool]:
     return end_dim, end_dim == 1
 
 
-def is_semibrick(mods: list[RightModule]) -> bool:
-    for i, m in enumerate(mods):
-        if not brick_report(m)[1]:
-            return False
-        for j, n in enumerate(mods):
-            if i != j and hom_dim(m, n) != 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import Algebra, AlgebraMorphismData, BasisElement, verify_algebra_axioms
+from .algebra import Algebra, AlgebraMorphismData, _sub_basis_algebra, verify_algebra_axioms
 from .bimodules import (
     Bimodule,
     algebra_as_bimodule,
@@ -40,28 +40,24 @@ SPLIT_FUNCTORS = (TENSOR_UP, TENSOR_DOWN, HOM_UP, HOM_DOWN)
 class SplitExtension:
     def __init__(self, r: Algebra, kernel_arrows: tuple[str, ...], a: Algebra,
                  section_indices: list[int], q_indices: list[int],
-                 xi: AlgebraMorphismData):
+                 xi: AlgebraMorphismData, section: AlgebraMorphismData):
         self.R = r
         self.kernel_arrows = tuple(kernel_arrows)
         self.A = a
         self.section_indices = section_indices  # A basis index -> R basis index
         self.q_indices = q_indices
         self.xi = xi  # R -> A
+        self.section = section  # A -> R, the inclusion of the complement
         self._memo: dict = {}
-        a_into_r = Matrix.zeros(r.field, a.dim, r.dim)
-        for ai, ri in enumerate(section_indices):
-            a_into_r.rows[ai][ri] = r.field.one()
-        self._section_transport = AlgebraMorphismData("corner", a, r, a_into_r)
-        self.R_as_A_R = algebra_as_bimodule(r, a, r, left_transport=self._section_transport, name="R as (A,R)")
-        self.Q = algebra_as_bimodule(r, a, a, self._section_transport, self._section_transport,
-                                     span=q_indices, name="Q")
+        self.R_as_A_R = algebra_as_bimodule(r, a, r, left_transport=section, name="R as (A,R)")
+        self.Q = algebra_as_bimodule(r, a, a, section, section, span=q_indices, name="Q")
         self.is_projective_left = is_projective_module(self.left_module_R())
 
     # built on first use; R as (A,R) and Q stay eager, since the constructor's
     # projectivity certificate and ideal checks need them
     @cached_property
     def R_as_R_A(self) -> Bimodule:
-        return algebra_as_bimodule(self.R, self.R, self.A, right_transport=self._section_transport, name="R as (R,A)")
+        return algebra_as_bimodule(self.R, self.R, self.A, right_transport=self.section, name="R as (R,A)")
 
     @cached_property
     def A_as_R_A(self) -> Bimodule:
@@ -173,18 +169,10 @@ def _build_split_extension(r: Algebra, kernel_arrows: tuple[str, ...]) -> SplitE
         raise SplitExtensionError(
             "kernel-arrow span differs from the ideal it generates - xi does not split for this basis"
         )
-    # A: the corner-style algebra on the complement
-    reindex = {old: new for new, old in enumerate(c_indices)}
-    basis = tuple(
-        BasisElement(r.basis[i].source, r.basis[i].target, r.basis[i].degree, r.basis[i].path)
-        for i in c_indices
+    # A: the sub-basis algebra on the complement, with its inclusion into R as section
+    a, section = _sub_basis_algebra(
+        r, c_indices, r.vertices, f"{r.name}.mod({','.join(kernel_arrows)})", r.quiver, r.relations
     )
-    table = [
-        [{reindex[k]: c for k, c in r.mult(i, j).items()} for j in c_indices]
-        for i in c_indices
-    ]
-    a = Algebra(f, r.vertices, basis, table, name=f"{r.name}.mod({','.join(kernel_arrows)})",
-                quiver=r.quiver, relations=r.relations)
     diags = verify_algebra_axioms(a)
     if diags:
         raise SplitExtensionError("quotient table violates axioms: " + "; ".join(diags))
@@ -195,4 +183,4 @@ def _build_split_extension(r: Algebra, kernel_arrows: tuple[str, ...]) -> SplitE
     bad = xi.verify()
     if bad:
         raise SplitExtensionError("projection along the kernel is not an algebra map: " + bad[0])
-    return SplitExtension(r, kernel_arrows, a, c_indices, q_indices, xi)
+    return SplitExtension(r, kernel_arrows, a, c_indices, q_indices, xi, section)

@@ -413,12 +413,13 @@ def test_bound_skips_the_hom_solve(monkeypatch, a3, a3_ab):
     # candidates on vectors with t(d) <= 1 reach the brick test (524 without
     # the bound)
     tested = []
+    solve = exceptional._solve_hom_kernel
 
-    def counting(m):
+    def counting(m, n):
         tested.append(_tits_form(m.algebra, m.dims))
-        return brick_report(m)
+        return solve(m, n)
 
-    monkeypatch.setattr(exceptional, "brick_report", counting)
+    monkeypatch.setattr(exceptional, "_solve_hom_kernel", counting)
     for algebra, fld in ((a3, F2), (a3_ab, FieldSpec(3))):
         enumerate_bricks(algebra, EnumerationConfig(field=fld, dim_bound=2))
     assert tested and max(tested) <= 1

@@ -349,6 +349,21 @@ def test_reproduce_json_matches_the_recorded_golden(capsys):
     assert out == (Path(__file__).parent / "golden" / "reproduce-paper.json").read_text()
 
 
+def test_paper_layer_matches_the_recorded_golden(capsys, monkeypatch):
+    """`scripts/paper_layer.py` (recollement laws, check thm-split and seq,
+    split-ext verify and enumerate ces, in-process) prints
+    `tests/golden/paper-layer.json` byte for byte."""
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the script moves to the root; the test's cwd comes back after it
+    spec = importlib.util.spec_from_file_location("paper_layer", root / "scripts" / "paper_layer.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    assert capsys.readouterr().out == (root / "tests" / "golden" / "paper-layer.json").read_text()
+
+
 def test_reproduce_matrix(capsys):
     code, out, _ = run(capsys, "reproduce-paper")
     lines = [l for l in out.splitlines() if l.startswith("[")]

