@@ -10,6 +10,9 @@ report:
     split-ext verify   the 4 splits a3/alpha, a3_ab/alpha, cycle3/gamma,
                        cycle3_ab/gamma
     enumerate ces      5 fixtures
+    ext                5 fixtures x every (M, N) among simple:, proj: and
+                       inj: at each vertex x --max-n 0, 3 and 8
+    resolve            5 fixtures x each such M, --steps 6
 
 Paths in the argv are relative to the repository root, which the script
 makes its working directory.  Usage:
@@ -33,6 +36,9 @@ FIXTURES = ("a3", "a3_ab", "a42", "cycle3", "cycle3_ab")
 IDEMPOTENTS = ("1", "2", "3", "1,2", "1,3", "2,3", "1,2,3")
 ROWS = "abcdefghi"
 SPLITS = (("a3", "alpha"), ("a3_ab", "alpha"), ("cycle3", "gamma"), ("cycle3_ab", "gamma"))
+# every fixture has the vertices 1 2 3
+MODULES = tuple(f"{kind}:{v}" for kind in ("simple", "proj", "inj") for v in "123")
+EXT_BOUNDS = ("0", "3", "8")
 
 
 def _alg(name: str) -> str:
@@ -56,6 +62,13 @@ def commands() -> list[list[str]]:
         out.append(["split-ext", "verify", _alg(fix), "--kernel-arrows", arrow])
     for fix in FIXTURES:
         out.append(["enumerate", "ces", _alg(fix)])
+    for fix in FIXTURES:
+        for m in MODULES:
+            for n in MODULES:
+                for bound in EXT_BOUNDS:
+                    out.append(["ext", _alg(fix), m, n, "--max-n", bound])
+        for m in MODULES:
+            out.append(["resolve", _alg(fix), m, "--steps", "6"])
     return out
 
 

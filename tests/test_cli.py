@@ -351,7 +351,8 @@ def test_reproduce_json_matches_the_recorded_golden(capsys):
 
 def test_paper_layer_matches_the_recorded_golden(capsys, monkeypatch):
     """`scripts/paper_layer.py` (recollement laws, check thm-split and seq,
-    split-ext verify and enumerate ces, in-process) prints
+    split-ext verify, enumerate ces, and ext and resolve on the named modules
+    of every fixture, in-process) prints
     `tests/golden/paper-layer.json` byte for byte."""
     import importlib.util
 
