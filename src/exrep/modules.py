@@ -9,10 +9,10 @@ certificates, and Ext dimensions.
 
 Hom(M, N) is solved exactly as one linear system (`_hom_kernel`), whose
 kernel rows are verified on every radical basis element in one batched check
-before any reader sees them: `hom_dim`, the brick test and the Hom complex
-behind Ext count or multiply those rows directly, and `hom_basis` cuts them
-into `ModuleMap`s without checking each map again.  An open scope solves
-each kernel, cover, syzygy and rank once (`exrep.scope`).
+before any reader sees them: `hom_dim`, the brick test and Ext (by
+dimension shifting along the syzygies) count those rows directly, and
+`hom_basis` cuts them into `ModuleMap`s without checking each map again.  An
+open scope solves each kernel, cover and syzygy once (`exrep.scope`).
 """
 
 from __future__ import annotations
@@ -755,14 +755,15 @@ class ResolutionPrefix:
 class Resolution:
     """The minimal projective resolution of one module, grown on demand.
 
-    Append-only: step s adds the cover P_{s-1} of omega^{s-1}, its composed
-    differential and the syzygy omega^s, and nothing recorded ever changes.
-    Growth stops at a zero syzygy.  The first syzygy isomorphic to an earlier
-    one is recorded when it is found, so `status(k)` reports exactly what a
-    fresh resolution of k steps reports, however far this one has grown.
-    One object serves every Ext read from its module: `Resolution.of` hands
-    out the one an open scope holds for the module (see `exrep.scope`), and
-    the scope shares each step from `_shared_from` on, keyed by its omega^s.
+    Append-only: step s adds the cover P_{s-1} of omega^{s-1}, its top, its
+    composed differential and the syzygy omega^s, and nothing recorded ever
+    changes.  Growth stops at a zero syzygy.  The first syzygy isomorphic to
+    an earlier one is recorded when it is found, so `status(k)` reports
+    exactly what a fresh resolution of k steps reports, however far this one
+    has grown.  One object serves every Ext read from its module:
+    `Resolution.of` hands out the one an open scope holds for the module (see
+    `exrep.scope`), and Ext is read from the Hom dimensions of the syzygies
+    and the tops of the covers (`_ext_from_tower`).
     """
 
     def __init__(self, m: RightModule):
@@ -770,8 +771,8 @@ class Resolution:
         self.syzygies: list[RightModule] = [m]
         self.inclusions: list[ModuleMap | None] = [None]  # omega^i -> P_{i-1}
         self.terms: list[RightModule] = []
+        self.tops: list[dict[str, int]] = []  # tops[i]: the top of P_i
         self.diffs: list[ModuleMap] = []
-        self._shared_from = 0
         self._scanned = 0  # syzygies 1.._scanned were compared with every earlier one
         self._period: Periodic | None = None
 
@@ -783,10 +784,12 @@ class Resolution:
     def steps(self) -> int:
         return len(self.terms)
 
-    def _push(self, cover: RightModule, cmap: ModuleMap, kernel: tuple[RightModule, ModuleMap]) -> None:
-        """Append the step cover -> omega^{last}: cmap onto it, kernel its `kernel_of`."""
+    def _push(self, top: dict[str, int], cover: RightModule, cmap: ModuleMap, kernel: tuple[RightModule, ModuleMap]) -> None:
+        """Append the step cover -> omega^{last}: cmap onto it, top the top of
+        cover, kernel its `kernel_of`."""
         incl = self.inclusions[-1]
         self.terms.append(cover)
+        self.tops.append(top)
         self.diffs.append(cmap if incl is None else cmap.compose(incl))
         self.syzygies.append(kernel[0])
         self.inclusions.append(kernel[1])
@@ -796,8 +799,8 @@ class Resolution:
         always gets its cover)."""
         while self.steps() < steps and not (self.steps() and self.syzygies[-1].is_zero):
             last = self.syzygies[-1]
-            _, cover, cmap = top_and_cover(last)
-            self._push(cover, cmap, scoped("syzygies", lambda: last.memo_key, lambda: kernel_of(cmap)))
+            top, cover, cmap = top_and_cover(last)
+            self._push(top, cover, cmap, scoped("syzygies", lambda: last.memo_key, lambda: kernel_of(cmap)))
 
     def status(self, max_steps: int) -> FinitePd | Periodic | TruncatedAt:
         """FinitePd(k) once omega^{k+1} vanishes within max_steps; Periodic(j, q)
@@ -838,13 +841,12 @@ class Resolution:
     def tower_dims(self, n: RightModule, n_max: int) -> list[int]:
         """dim Ext^0..Ext^n_max(M, N) read off this tower as it stands, with
         no certificate; for a tower that is not minimal (`padded_resolution`)."""
-        self.extend_to(n_max + 2)
         return _ext_from_tower(self, n, n_max)
 
     def ext(self, n: RightModule, n_max: int = 8) -> ExtResult:
         """Ext^0..Ext^n_max(M, N) for this resolution's module M; see `ext_dims`.
-        In an open scope every bound reads the ranks already found; each read
-        gets its own dimensions."""
+        In an open scope every bound reads the Hom dimensions already found;
+        each read gets its own dimensions."""
         m = self.module
         if not m.algebra.same_as(n.algebra):
             raise ModuleError("ext between modules over different algebras")
@@ -858,7 +860,6 @@ class Resolution:
             certainty: ExactUpTo | AllHigherVanish | EventuallyPeriodic = AllHigherVanish(status.pd)
         elif isinstance(status, Periodic):
             limit = min(n_max, status.lead + status.period)
-            self.extend_to(limit + 2)
             certainty = EventuallyPeriodic(status.lead, status.period)
         else:
             limit = n_max
@@ -931,53 +932,26 @@ class ExtResult:
         return False
 
 
-def _hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
-    """`_solve_hom_complex_rank` once per (omega^n, omega^{n+1}, N) in an open
-    scope; step n+1 is grown first, so no entry misses it."""
-    res.extend_to(n + 2)
-    if n < res._shared_from:
-        return _solve_hom_complex_rank(res, n, target)
-    syz = res.syzygies
-    return scoped(
-        "ranks",
-        lambda: (syz[n].memo_key, syz[n + 1].memo_key, target.memo_key),
-        lambda: _solve_hom_complex_rank(res, n, target),
-    )
-
-
-def _solve_hom_complex_rank(res: Resolution, n: int, target: RightModule) -> tuple[int, int]:
-    """(dim Hom(P_n, N), rank of the map Hom(P_n, N) -> Hom(P_{n+1}, N)).
-
-    h |-> D_{n+1}.h for every kernel row h at once: per vertex v one product
-    of D_{n+1} at v with the v-blocks of all rows side by side."""
-    P_n = res.terms[n]
-    offsets, kernel = _hom_kernel(P_n, target)
-    dim_n = len(kernel)
-    if dim_n == 0:
-        return 0, 0
-    if n + 1 >= len(res.terms) or res.terms[n + 1].is_zero:
-        return dim_n, 0
-    rows = _rows_through(target.field.p, res.diffs[n + 1].mats, kernel, offsets, target.dims)
-    width = len(rows[0])
-    if width == 0:
-        return dim_n, 0
-    return dim_n, matrix_rank(Matrix(target.field, rows, dim_n, width))
-
-
 def _ext_from_tower(res: Resolution, target: RightModule, limit: int) -> list[int]:
-    """dim Ext^k(M, N) for k = 0..limit: the cohomology of Hom(P_*, N) along
-    the resolution's projective terms (a missing or zero term contributes 0)."""
-    dims = []
-    prev_rank = 0
-    for k in range(limit + 1):
-        if k >= len(res.terms) or res.terms[k].is_zero:
-            dims.append(0)
-            prev_rank = 0
-            continue
-        dim_k, rank_k = _hom_complex_rank(res, k, target)
-        dims.append(dim_k - rank_k - prev_rank)
-        prev_rank = rank_k
-    return dims
+    """dim Ext^k(M, N) for k = 0..limit by dimension shifting.
+
+    Ext^0 = hom(M, N).  For k >= 1 the sequence 0 -> omega^k -> P_{k-1} ->
+    omega^{k-1} -> 0 gives 0 -> Hom(omega^{k-1}, N) -> Hom(P_{k-1}, N) ->
+    Hom(omega^k, N) -> Ext^k(M, N) -> 0, so
+
+        Ext^k = hom(omega^k, N) - hom(P_{k-1}, N) + hom(omega^{k-1}, N),
+
+    with hom(P_{k-1}, N) = sum_v top(P_{k-1})_v . dim N e_v (Yoneda).  Each
+    hom(omega^k, N) is solved once per read (`hom_dim`); past a zero syzygy
+    every Ext is 0.  No step needs the tower to be minimal."""
+    res.extend_to(limit)
+    a = target.algebra
+    homs = [hom_dim(omega, target) for omega in res.syzygies[: limit + 1]]
+    dims = homs[:1]
+    for k in range(1, len(homs)):
+        yoneda = sum(c * target.dims[a.vertex_index(v)] for v, c in res.tops[k - 1].items())
+        dims.append(homs[k] - yoneda + homs[k - 1])
+    return dims + [0] * (limit + 1 - len(dims))
 
 
 def ext_dims(m: RightModule, n: RightModule, n_max: int = 8) -> ExtResult:
@@ -997,13 +971,14 @@ def padded_resolution(m: RightModule, pad_vertex: str) -> Resolution:
     against the minimal one.
 
     The degree-0 cover is padded with an extra projective summand mapping to
-    zero; from the padded syzygy onward covers are again minimal.  Read it
-    with `Resolution.tower_dims`: its periodicity and finiteness certificates
-    assume a minimal resolution.
+    zero, and its top gains the pad vertex; from the padded syzygy onward
+    covers are again minimal.  Read it with `Resolution.tower_dims`: its
+    periodicity and finiteness certificates assume a minimal resolution.
     """
     a = m.algebra
     f = m.field
-    _, cover, cmap = top_and_cover(m)
+    top, cover, cmap = top_and_cover(m)
+    top[pad_vertex] = top.get(pad_vertex, 0) + 1
     extra = projective_module(a, pad_vertex)
     padded = direct_sum([cover, extra])
     mats = []
@@ -1012,6 +987,5 @@ def padded_resolution(m: RightModule, pad_vertex: str) -> Resolution:
         mats.append(Matrix(f, cmap.mats[v].rows + z.rows, padded.dims[v], m.dims[v]))
     pmap = ModuleMap(padded, m, mats)
     res = Resolution(m)
-    res._push(padded, pmap, kernel_of(pmap))
-    res._shared_from = 1  # the padded step is nobody else's
+    res._push(top, padded, pmap, kernel_of(pmap))
     return res

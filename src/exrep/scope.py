@@ -4,21 +4,19 @@ Each table is filled on first use and keyed through `RightModule.memo_key`
 (a module over an equal but distinct algebra never shares an entry):
 
     resolutions   one minimal `Resolution` per module
-    hom           one verified `_hom_kernel` (offsets, rows) per (source, target)
+    hom           one verified `_hom_kernel` (offsets, rows) per (source, target);
+                  Ext reads its dimensions between syzygies and target
     covers        one `top_and_cover` per module
     syzygies      one `kernel_of` the cover map per module
-    ranks         one Hom-complex (dim, rank) per (step n, step n+1, target),
-                  a step named by the syzygy it covers; Ext sums them at any bound
     builds        one split extension or recollement per construction input
 
 Shared entries are read-only; `top_and_cover` and `Resolution.ext` hand out
-their own top and dims.  The padded first step of `padded_resolution` enters
-no table.  The scope lives in a `ContextVar` and dies with the `with` block
-(or the decorated call) that opened it.  `goldens.run_all`, each CLI command
-and `verify_recollement_laws` open one; a scope opened inside another joins
-it.  Plain library calls (`ext_dims`, `enumerate_ces`, `enumerate_bricks`,
-...) stay unscoped: outside a scope `scoped` runs `build()` directly
-without computing a key.
+their own top and dims.  The scope lives in a `ContextVar` and dies with the
+`with` block (or the decorated call) that opened it.  `goldens.run_all`, each
+CLI command and `verify_recollement_laws` open one; a scope opened inside
+another joins it.  Plain library calls (`ext_dims`, `enumerate_ces`,
+`enumerate_bricks`, ...) stay unscoped: outside a scope `scoped` runs
+`build()` directly without computing a key.
 """
 
 from __future__ import annotations
@@ -28,14 +26,13 @@ from contextvars import ContextVar
 
 
 class Scope:
-    __slots__ = ("resolutions", "hom", "covers", "syzygies", "ranks", "builds")
+    __slots__ = ("resolutions", "hom", "covers", "syzygies", "builds")
 
     def __init__(self):
         self.resolutions: dict = {}
         self.hom: dict = {}
         self.covers: dict = {}
         self.syzygies: dict = {}
-        self.ranks: dict = {}
         self.builds: dict = {}
 
 

@@ -1,14 +1,19 @@
 """Hom read from one verified kernel (`_hom_kernel`).
 
-`hom_dim`, the brick test and the Hom complex behind Ext read the kernel rows
-directly, and `hom_basis` cuts them into maps without re-checking each one;
-instead every row is checked on every radical basis element in one batched
-pass (`_check_intertwines`).  Three kinds of test pin that:
+`hom_dim`, the brick test and Ext (by dimension shifting, from the Hom
+dimensions of the syzygies) read the kernel rows directly, and `hom_basis`
+cuts them into maps without re-checking each one; instead every row is
+checked on every radical basis element in one batched pass
+(`_check_intertwines`).  Three kinds of test pin that:
 
 - differential: a reference copy of the per-map `hom_basis` it replaced
   (`Matrix.zeros` blocks, each map built with `ModuleMap(..., check=True)`)
-  and of the per-map Hom-complex rank (`flatten(D.compose(h))`) must agree
-  entry for entry, over Q, F2 and F3;
+  must agree entry for entry, and Ext read by `Resolution.ext` and
+  `tower_dims` must agree at every degree with the cohomology of the Hom
+  complex Hom(P_*, N) read map by map (`ref_ext_from_tower`, rank of
+  `flatten(D.compose(h))`), over Q, F2 and F3; a tower padded at every
+  vertex (`padded_resolution`, not minimal) reads the same Ext, past the
+  certified period too;
 - closed form, independent of the solver: dim Hom(e_v A, N) = dim N_v
   (Yoneda) and dim Hom(M, D(A e_v)) = dim M_v (duality);
 - the check is live: a module broken only on a non-generator radical element,
@@ -24,23 +29,28 @@ from helpers import flatten, int_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg_kernel import HOM_CASES
+from test_memo_keys import FIXTURES
 from test_modules import conjugated_sum
 
 from exrep.exceptional import _refield
 from exrep.fields import FieldSpec
+from exrep.goldens import bundled_algebra
 from exrep.linalg import Matrix, matrix_rank, null_space
 from exrep.modules import (
     ModuleError,
     ModuleMap,
+    Periodic,
     Resolution,
     RightModule,
     _check_intertwines,
-    _hom_complex_rank,
     _hom_kernel,
     hom_basis,
     hom_dim,
     injective_module,
+    make_module,
+    padded_resolution,
     projective_module,
+    simple_module,
     thin_module,
 )
 
@@ -147,6 +157,7 @@ def _same_entries(x, y):
     return x == y and [type(e) for e in x] == [type(e) for e in y]
 
 
+EXT_LIMIT = 3
 CASES = [(name, alg, fld) for name, alg in HOM_CASES for fld in FIELDS]
 CASE_IDS = [f"{name}/{fld.name()}" for name, _, fld in CASES]
 
@@ -169,10 +180,58 @@ def test_hom_readers_match_per_map_reference(name, algebra, fld):
     assert nonzero
     for m in mods[:2]:
         res = Resolution(m)
-        res.extend_to(3)
-        for k in range(res.steps()):
-            for n in mods:
-                assert _hom_complex_rank(res, k, n) == ref_hom_complex_rank(res, k, n)
+        res.extend_to(EXT_LIMIT + 2)
+        for n in mods:
+            want = ref_ext_from_tower(res, n, EXT_LIMIT)
+            for k in range(EXT_LIMIT + 1):
+                assert res.ext(n, k).dims == res.tower_dims(n, k) == want[: k + 1], (k, want)
+
+
+PADDED_READS = (0, 1, 4)
+
+
+def _thin_specs(algebra):
+    specs = []
+    for k in range(1, algebra.n_vertices + 1):
+        for sup in itertools.combinations(algebra.vertices, k):
+            spec = "thin:" + ",".join(sup)
+            try:
+                make_module(algebra, spec)
+            except ModuleError:
+                continue
+            specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_padded_tower_reads_minimal_and_per_map_ext(name):
+    """Every thin module, and a seeded re-based copy of it, padded at every
+    vertex: `tower_dims` at degrees 0, 1 and 4 equals `Resolution.ext` and
+    the per-map Hom complex of the padded tower, for every simple target.  A
+    module with a certified syzygy period is also read a period past
+    lead + period, where `Resolution.ext` continues the dimensions
+    periodically and the padded tower is read step by step."""
+    alg = bundled_algebra(name)
+    rng = random.Random(f"padded/{name}")
+    simples = [simple_module(alg, v) for v in alg.vertices]
+    periodic = 0
+    for spec in _thin_specs(alg):
+        for m in (make_module(alg, spec), conjugated_sum(alg, [spec], rng)):
+            reads = PADDED_READS
+            status = Resolution(m).status(8)
+            if isinstance(status, Periodic):
+                periodic += 1
+                reads += (status.lead + 2 * status.period + 1,)
+            top = max(reads)
+            for v in alg.vertices:
+                padded = padded_resolution(m, v)
+                padded.extend_to(top + 2)  # the per-map reference reads P_{k+1}
+                for n in simples:
+                    want = ref_ext_from_tower(padded, n, top)
+                    for k in reads:
+                        got = padded.tower_dims(n, k)
+                        assert got == Resolution.of(m).ext(n, k).dims == want[: k + 1], (spec, v, k)
+    assert periodic or name != "cycle3"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """One computation scope shares resolutions, Hom kernels, covers, syzygies,
-Hom-complex ranks, and split extension and recollement builds among the
-calls made inside it (`test_scope_tables` checks the kernel tables entry by
-entry).
+and split extension and recollement builds among the calls made inside it
+(`test_scope_tables` checks the kernel tables entry by entry).
 
 - `run_all`, each CLI command and each law check run in one scope, and
   `run_all` gives exactly the criteria's unscoped results.
@@ -124,7 +123,7 @@ def test_an_equal_but_distinct_algebra_shares_no_entry():
         # every kernel entry names one algebra, and each algebra the twins
         # build (the twins themselves, opposites, quotients) comes as two
         # distinct objects holding equally many entries
-        for table in (scope.hom, scope.covers, scope.syzygies, scope.ranks):
+        for table in (scope.hom, scope.covers, scope.syzygies):
             per_name = {}
             for key in table:
                 (alg,) = algebras_in(key)
@@ -152,7 +151,7 @@ def test_scoped_reads_equal_fresh_calls(name):
                 for j, n in enumerate(mods):
                     assert hom_dim(m, n) == fresh_hom[i, j], (name, i, j)
                     assert Resolution.of(m).ext(n, 4) == fresh_ext[i, j], (name, i, j)
-        assert scope.hom and scope.covers and scope.syzygies and scope.ranks and scope.resolutions
+        assert scope.hom and scope.covers and scope.syzygies and scope.resolutions
 
 
 def test_one_recollement_per_idempotent_set(a3):

@@ -1,16 +1,17 @@
-"""The scope's kernel tables: Hom kernels, covers, syzygies and Hom-complex
-ranks, each solved once per module content and shared by every reader.
+"""The scope's kernel tables: Hom kernels, covers and syzygies, each solved
+once per module content and shared by every reader.
 
 - Differential: on every fixture's simple, projective, injective and thin
   modules, scoped `_hom_kernel` rows, `top_and_cover`, resolution terms and
   differentials, and Ext read at bounds 24, 3, 6 and 4 in one scope equal
   the unscoped results.
-- Each (step n, step n+1, target) rank is solved once however many bounds
-  read it, and a rank read for one target never answers for another.
+- Each Hom kernel is solved once however many Ext bounds read it, keyed by
+  its (source, target) pair, and every target read gets its own entries.
 - Readers leave the shared rows and tops as they were solved.
-- The padded first step of `padded_resolution` enters no table.
-- One `goldens.run_all()` solves at most 898 Hom kernels, 90 covers and 366
-  ranks, and two runs solve exactly the same.
+- The padded first step of `padded_resolution` enters no `covers` or
+  `syzygies` entry.
+- One `goldens.run_all()` solves at most HOM_SOLVES Hom kernels and
+  COVER_SOLVES covers, and two runs solve exactly the same.
 """
 
 from collections import Counter
@@ -37,6 +38,8 @@ from exrep.scope import computation_scope
 from exrep.split_extensions import HOM_DOWN, HOM_UP, build_split_extension
 
 BOUNDS = (24, 3, 6, 4)
+HOM_SOLVES = 881
+COVER_SOLVES = 90
 
 
 def cover_data(m):
@@ -98,30 +101,30 @@ def test_ext_at_every_bound_equals_unscoped(case):
                     assert Resolution.of(m).ext(n, b) == fresh[i, j, b], (name, i, j, b)
 
 
-def record_rank_solves(monkeypatch):
-    """The key of every rank solved, as (step n, step n+1, target)."""
+def record_hom_solves(monkeypatch):
+    """The key of every Hom kernel solved, as (source, target)."""
     solved = []
-    solve = module_layer._solve_hom_complex_rank
+    solve = module_layer._solve_hom_kernel
 
-    def recording(res, n, target):
-        solved.append((res.syzygies[n].memo_key, res.syzygies[n + 1].memo_key, target.memo_key))
-        return solve(res, n, target)
+    def recording(m, n):
+        solved.append((m.memo_key, n.memo_key))
+        return solve(m, n)
 
-    monkeypatch.setattr(module_layer, "_solve_hom_complex_rank", recording)
+    monkeypatch.setattr(module_layer, "_solve_hom_kernel", recording)
     return solved
 
 
-def test_each_rank_is_solved_once_across_bounds(case, monkeypatch):
+def test_each_hom_kernel_is_solved_once_across_ext_bounds(case, monkeypatch):
     name, mods = case
-    solved = record_rank_solves(monkeypatch)
+    solved = record_hom_solves(monkeypatch)
     with computation_scope() as scope:
         for b in BOUNDS:
             for m in mods:
                 for n in mods:
                     Resolution.of(m).ext(n, b)
-        assert solved and len(solved) == len(set(solved)) == len(scope.ranks), name
-        assert set(solved) == set(scope.ranks)
-    assert {key[2] for key in solved} == {n.memo_key for n in mods}
+        assert solved and len(solved) == len(set(solved)) == len(scope.hom), name
+        assert set(solved) == set(scope.hom)
+    assert {n.memo_key for n in mods} <= {key[1] for key in solved}
 
 
 def test_readers_leave_shared_entries_as_solved(a3, cycle3):
@@ -159,18 +162,17 @@ def module_of(memo_key):
     return RightModule(alg, dims, {i: Matrix(alg.field, rows, r, c) for i, (r, c, rows) in actions}, check=False)
 
 
-def assert_padded_step_not_shared(scope, m, padded):
+def assert_padded_step_not_shared(scope, padded):
     assert all(cover is not padded.terms[0] for _, cover, _ in scope.covers.values())
     assert all(ker is not padded.syzygies[1] for ker, _ in scope.syzygies.values())
-    assert not any(key[:2] == (m.memo_key, padded.syzygies[1].memo_key) for key in scope.ranks)
 
 
 @pytest.mark.parametrize("padded_first", (True, False), ids=("padded-first", "minimal-first"))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_padded_first_step_enters_no_table(name, padded_first):
     """Read in either order in one scope, the padded and the minimal
-    resolution give their unscoped Ext, and the padded cover, its syzygy and
-    its degree-0 ranks are in no table."""
+    resolution give their unscoped Ext, and neither the padded cover nor its
+    syzygy is a `covers` or `syzygies` entry."""
     alg = bundled_algebra(name)
     simples = [make_module(alg, f"simple:{v}") for v in alg.vertices]
     for m in modules(alg):
@@ -181,14 +183,14 @@ def test_padded_first_step_enters_no_table(name, padded_first):
                 assert [Resolution.of(m).ext(n, 4) for n in simples] == want_minimal
             padded = padded_resolution(m, alg.vertices[0])
             assert [padded.tower_dims(n, 4) for n in simples] == want_padded
-            assert_padded_step_not_shared(scope, m, padded)
+            assert_padded_step_not_shared(scope, padded)
             assert [Resolution.of(m).ext(n, 4) for n in simples] == want_minimal
-            assert_padded_step_not_shared(scope, m, padded)
+            assert_padded_step_not_shared(scope, padded)
 
 
 def solve_counts(monkeypatch):
     counts = Counter()
-    for name in ("_solve_hom_kernel", "_build_cover", "_solve_hom_complex_rank"):
+    for name in ("_solve_hom_kernel", "_build_cover"):
         solve = getattr(module_layer, name)
 
         def counting(*args, _solve=solve, _name=name):
@@ -207,9 +209,8 @@ def test_run_all_solves_each_kernel_once(monkeypatch):
     again = goldens.run_all()
     assert dict(counts) == once
     assert [(r.key, r.ok, r.detail) for r in first] == [(r.key, r.ok, r.detail) for r in again]
-    assert once["_solve_hom_kernel"] <= 898
-    assert once["_build_cover"] <= 90
-    assert once["_solve_hom_complex_rank"] <= 366
+    assert once["_solve_hom_kernel"] <= HOM_SOLVES
+    assert once["_build_cover"] <= COVER_SOLVES
 
 
 @pytest.mark.parametrize("name, fld", [("cycle3_ab", 2), ("a3_ab", 3)])
