@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg_kernel import HOM_CASES
 from test_memo_keys import FIXTURES
-from test_modules import conjugated_sum
+from test_modules import all_thins, conjugated_sum
 
 from exrep.exceptional import _refield
 from exrep.fields import FieldSpec
@@ -47,7 +47,6 @@ from exrep.modules import (
     hom_basis,
     hom_dim,
     injective_module,
-    make_module,
     padded_resolution,
     projective_module,
     simple_module,
@@ -190,19 +189,6 @@ def test_hom_readers_match_per_map_reference(name, algebra, fld):
 PADDED_READS = (0, 1, 4)
 
 
-def _thin_specs(algebra):
-    specs = []
-    for k in range(1, algebra.n_vertices + 1):
-        for sup in itertools.combinations(algebra.vertices, k):
-            spec = "thin:" + ",".join(sup)
-            try:
-                make_module(algebra, spec)
-            except ModuleError:
-                continue
-            specs.append(spec)
-    return specs
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_padded_tower_reads_minimal_and_per_map_ext(name):
     """Every thin module, and a seeded re-based copy of it, padded at every
@@ -215,8 +201,9 @@ def test_padded_tower_reads_minimal_and_per_map_ext(name):
     rng = random.Random(f"padded/{name}")
     simples = [simple_module(alg, v) for v in alg.vertices]
     periodic = 0
-    for spec in _thin_specs(alg):
-        for m in (make_module(alg, spec), conjugated_sum(alg, [spec], rng)):
+    for thin in all_thins(alg):
+        spec = "thin:" + ",".join(v for v, d in zip(alg.vertices, thin.dims) if d)
+        for m in (thin, conjugated_sum(alg, [spec], rng)):
             reads = PADDED_READS
             status = Resolution(m).status(8)
             if isinstance(status, Periodic):
