@@ -13,6 +13,15 @@ report:
     ext                5 fixtures x every (M, N) among simple:, proj: and
                        inj: at each vertex x --max-n 0, 3 and 8
     resolve            5 fixtures x each such M, --steps 6
+    enumerate bricks   --dim-bound 2 on a3, a3_ab and a42 over F3, and on
+                       cycle3 and cycle3_ab over F2
+    hom                5 fixtures x proj:v x inj:w at every pair of vertices
+    recollement map    a3 and cycle3_ab x --idempotent 1 and 2,3 x the six
+                       functors x simple:, proj: and inj: at each vertex of
+                       the functor's source algebra
+    tensor             the splits a3/alpha and cycle3/gamma x the four
+                       functors x thin: on each nonempty vertex set; a
+                       support that breaks a relation records exit 1
 
 Paths in the argv are relative to the repository root, which the script
 makes its working directory.  Usage:
@@ -39,6 +48,9 @@ SPLITS = (("a3", "alpha"), ("a3_ab", "alpha"), ("cycle3", "gamma"), ("cycle3_ab"
 # every fixture has the vertices 1 2 3
 MODULES = tuple(f"{kind}:{v}" for kind in ("simple", "proj", "inj") for v in "123")
 EXT_BOUNDS = ("0", "3", "8")
+BRICKS = (("a3", "F3"), ("a3_ab", "F3"), ("a42", "F3"), ("cycle3", "F2"), ("cycle3_ab", "F2"))
+RECOLLEMENT_FUNCTORS = ("i_*", "i^*", "i^!", "j_!", "j^*", "j_*")
+SPLIT_FUNCTORS = ("tensor-up", "tensor-down", "hom-up", "hom-down")
 
 
 def _alg(name: str) -> str:
@@ -47,6 +59,17 @@ def _alg(name: str) -> str:
 
 def _seq(row: str) -> str:
     return f"src/exrep/fixtures/seq_{row}.seq"
+
+
+def _source_vertices(functor: str, eps: str) -> list[str]:
+    """The vertices of the algebra a recollement functor reads from: A/AeA
+    for i_*, eAe for j_! and j_*, and A for the other three."""
+    inside = eps.split(",")
+    if functor == "i_*":
+        return [v for v in "123" if v not in inside]
+    if functor in ("j_!", "j_*"):
+        return inside
+    return list("123")
 
 
 def commands() -> list[list[str]]:
@@ -69,6 +92,23 @@ def commands() -> list[list[str]]:
                     out.append(["ext", _alg(fix), m, n, "--max-n", bound])
         for m in MODULES:
             out.append(["resolve", _alg(fix), m, "--steps", "6"])
+    for fix, fld in BRICKS:
+        out.append(["enumerate", "bricks", _alg(fix), "--field", fld, "--dim-bound", "2"])
+    for fix in FIXTURES:
+        for v in "123":
+            for w in "123":
+                out.append(["hom", _alg(fix), f"proj:{v}", f"inj:{w}"])
+    for fix in ("a3", "cycle3_ab"):
+        for eps in ("1", "2,3"):
+            for functor in RECOLLEMENT_FUNCTORS:
+                for v in _source_vertices(functor, eps):
+                    for kind in ("simple", "proj", "inj"):
+                        out.append(["recollement", "map", _alg(fix), f"{kind}:{v}", "--idempotent", eps,
+                                    "--functor", functor])
+    for fix, arrow in (("a3", "alpha"), ("cycle3", "gamma")):
+        for functor in SPLIT_FUNCTORS:
+            for sup in IDEMPOTENTS:
+                out.append(["tensor", _alg(fix), f"thin:{sup}", "--kernel-arrows", arrow, "--functor", functor])
     return out
 
 
