@@ -346,7 +346,6 @@ class EnumerationConfig:
     field: FieldSpec = F2
     dim_bound: int = 1
     budget: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -493,7 +492,10 @@ def enumerate_bricks(algebra: Algebra, cfg: EnumerationConfig) -> EnumerationRes
             if pinned is not None:
                 b = work.basis[pinned]
                 pins = [{pinned: n} for n in _rank_normal_forms(f, dims[b.source], dims[b.target])]
-            for pin, assignment in itertools.product(pins, itertools.product(elements, repeat=entry_slots)):
+            # one pin at a time: product() would build its whole inner product first,
+            # and then the budget would bound the candidates but not the memory
+            draws = ((pin, a) for pin in pins for a in itertools.product(elements, repeat=entry_slots))
+            for pin, assignment in draws:
                 count += 1
                 if count > cfg.budget:
                     raise BudgetExceeded

@@ -529,7 +529,11 @@ def _stable_seed(m: RightModule, n: RightModule) -> int:
     return zlib.crc32(repr((_seed_fingerprint(m), _seed_fingerprint(n))).encode())
 
 
-def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 32) -> IsoResult:
+# random points iso_test tries over Q before it calls the result inconclusive
+ISO_RETRIES = 32
+
+
+def iso_test(m: RightModule, n: RightModule, budget: int = 512) -> IsoResult:
     """Look for an invertible intertwiner.
 
     Equal dimension vectors are required; then an invertible element of
@@ -576,7 +580,7 @@ def iso_test(m: RightModule, n: RightModule, budget: int = 512, retries: int = 3
                 return IsoResult(cand, True)
         return IsoResult(None, exhaustive)
     rng = random.Random(_stable_seed(m, n))
-    for _ in range(retries):
+    for _ in range(ISO_RETRIES):
         coeffs = [f.from_int(rng.randint(-9, 9)) for _ in basis]
         cand = combine(coeffs)
         if cand.is_invertible():

@@ -13,6 +13,7 @@ both must return the same bricks and draw the same number of candidates.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from helpers import int_matrix
@@ -424,3 +425,22 @@ def test_bound_skips_the_hom_solve(monkeypatch, a3, a3_ab):
         enumerate_bricks(algebra, EnumerationConfig(field=fld, dim_bound=2))
     assert tested and max(tested) <= 1
     assert len(tested) == 23
+
+
+def test_budget_bounds_the_memory_of_the_draw():
+    # one vertex with five loops, every path of length two zero: the vector
+    # (2) has 2^20 assignments, which must not be built before the budget cuts
+    loops = [f"x{k}" for k in range(1, 6)]
+    lines = ["algebra loops5", "field Q", "vertices 1", *(f"arrow {x} 1 1" for x in loops)]
+    lines += [f"relation {x}*{y}" for x in loops for y in loops]
+    algebra = _parse("\n".join(lines + ["end"]) + "\n")
+    tracemalloc.start()
+    try:
+        result = enumerate_bricks(algebra, EnumerationConfig(field=F2, dim_bound=2, budget=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.candidates == 100 and not result.complete
+    # the simple module is the one brick of dimension 1
+    assert [m.dims for m in result.items] == [(1,)]
+    assert peak < 16 * 2**20

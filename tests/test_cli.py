@@ -365,6 +365,63 @@ def test_paper_layer_matches_the_recorded_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == (root / "tests" / "golden" / "paper-layer.json").read_text()
 
 
+def test_paper_layer_record_meets_its_oracles():
+    """The recorded paper layer satisfies counts and identities known apart
+    from the code that produced it."""
+    records = json.loads((Path(__file__).parent / "golden" / "paper-layer.json").read_text())
+
+    def picked(*head):
+        return [r for r in records if r["argv"][: len(head)] == list(head)]
+
+    def fixture(r):
+        return Path(r["argv"][2]).stem
+
+    # linear A_n has (n+1)^(n-1) complete exceptional sequences (Seidel 2001):
+    # 16 for a3; cycle3 has none, as its Cartan matrix has det 2
+    ces = {fixture(r): r["report"] for r in picked("enumerate", "ces")}
+    assert (3 + 1) ** (3 - 1) == 16
+    assert {k: (r["count"], len(r["sequences"]), r["complete"]) for k, r in ces.items()} == {
+        "a3": (16, 16, True),
+        "a3_ab": (10, 10, True),
+        "a42": (9, 9, True),
+        "cycle3": (0, 0, True),
+        "cycle3_ab": (13, 13, True),
+    }
+    # complete brick counts at dim bound 2; a3 has its six interval modules
+    bricks = {(fixture(r), r["argv"][r["argv"].index("--field") + 1]): r["report"] for r in picked("enumerate", "bricks")}
+    assert {k: (r["count"], len(r["bricks"]), r["complete"]) for k, r in bricks.items()} == {
+        ("a3", "F3"): (6, 6, True),
+        ("a3_ab", "F3"): (5, 5, True),
+        ("a42", "F3"): (4, 4, True),
+        ("cycle3", "F2"): (6, 6, True),
+        ("cycle3_ab", "F2"): (8, 8, True),
+    }
+    # Yoneda: dim Hom(e_v A, N) = dim N e_v, the target's dimension at v
+    homs = picked("hom")
+    assert len(homs) == 45
+    for r in homs:
+        v = int(r["argv"][2].removeprefix("proj:"))
+        assert r["exit"] == 0 and r["report"]["dim"] == r["report"]["target_dims"][v - 1], r["argv"]
+    # the law checker is clean on every idempotent set of every fixture, and
+    # each a3 report carries both exactness certificates
+    laws = picked("recollement", "laws")
+    assert len(laws) == 35
+    for r in laws:
+        assert r["exit"] == 0 and r["report"]["status"] == "ok" and r["report"]["failures"] == [], r["argv"]
+    a3_laws = {r["argv"][-1]: r["report"] for r in laws if fixture(r) == "a3"}
+    assert len(a3_laws) == 7
+    assert all(type(r["istar_exact"]) is bool and type(r["ishriek_exact"]) is bool for r in a3_laws.values())
+    # e = e_1 + e_2 + e_3 is the unit: A/AeA is zero, so i^* and i^! are zero functors and exact
+    assert a3_laws["1,2,3"]["istar_exact"] and a3_laws["1,2,3"]["ishriek_exact"]
+    # the split-extension theorem over a3/alpha: rows a, d, e, i hold; the
+    # others fail a hypothesis, row f hypothesis (3) at T3 i=1 j=2 dim 1
+    thm = {Path(r["argv"][3]).stem.removeprefix("seq_"): r for r in picked("check", "thm-split")}
+    assert {row: r["exit"] for row, r in thm.items()} == {row: 0 if row in "adei" else 2 for row in "abcdefghi"}
+    h3 = thm["f"]["report"]["hypotheses"][2]
+    assert not h3["holds"]
+    assert [(w["condition"], w["i"], w["j"], w["dim"]) for w in h3["witnesses"]] == [("T3", 1, 2, 1)]
+
+
 def test_reproduce_matrix(capsys):
     code, out, _ = run(capsys, "reproduce-paper")
     lines = [l for l in out.splitlines() if l.startswith("[")]
