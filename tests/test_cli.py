@@ -379,9 +379,9 @@ def test_paper_layer_record_meets_its_oracles():
     # linear A_n has (n+1)^(n-1) complete exceptional sequences (Seidel 2001):
     # 16 for a3; cycle3 has none, as its Cartan matrix has det 2
     ces = {fixture(r): r["report"] for r in picked("enumerate", "ces")}
-    assert (3 + 1) ** (3 - 1) == 16
+    n = 3
     assert {k: (r["count"], len(r["sequences"]), r["complete"]) for k, r in ces.items()} == {
-        "a3": (16, 16, True),
+        "a3": ((n + 1) ** (n - 1), 16, True),
         "a3_ab": (10, 10, True),
         "a42": (9, 9, True),
         "cycle3": (0, 0, True),
